@@ -162,33 +162,21 @@ def compare_inits(
             t0 = time.perf_counter()
             W0 = initialize(A, k, strat)
             build_s = time.perf_counter() - t0
-            errors: dict[int, float] = {}
-            if max_t == 0:
-                config = SolverConfig(
-                    k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
-                    max_iter=1, check_interval=1, seed=seed,
-                )
-                result = solve(A, config, W0)
-                errors[0] = _error_from_objective(result.trace.objective_at(0), svd_err)
-                wall = result.trace.checkpoints[-1].elapsed_s
-                iters = 0
-            else:
-                config = SolverConfig(
-                    k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
-                    max_iter=max_t, check_interval=interval, seed=seed,
-                )
-                result = solve(A, config, W0)
-                for t in checkpoints:
-                    errors[t] = _error_from_objective(result.trace.objective_at(t), svd_err)
-                wall = result.trace.checkpoints[-1].elapsed_s
-                iters = result.iterations_run
+            config = SolverConfig(
+                k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
+                max_iter=max(max_t, 1), check_interval=interval, seed=seed,
+            )
+            result = solve(A, config, W0)
+            errors = {
+                t: _error_from_objective(result.trace.objective_at(t), svd_err) for t in checkpoints
+            }
             report.rows.append(
                 BenchRow(
                     algorithm=algorithm,
                     init=name,
                     seed=seed,
-                    iterations=iters,
-                    wall_s=wall,
+                    iterations=result.iterations_run if max_t else 0,
+                    wall_s=result.trace.checkpoints[-1].elapsed_s,
                     w0_storage_bytes=w0_storage_bytes(W0, name),
                     w0_build_s=build_s,
                     errors=errors,

@@ -1,8 +1,11 @@
 """Command-line interface: build-matrix, factorize, topics, benchmark,
 compare-inits, and fetch-datasets.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure. Every
-subcommand writes a manifest.json sufficient to reproduce the run.
+Exit codes: 0 success; 2 usage, including out-of-range solver options;
+3 data error (any NmfError that is not numerical, or a missing file, such as
+a dataset archive not yet placed in --dest); 4 numerical failure
+(NumericalError). Every subcommand writes a manifest.json sufficient to
+reproduce the run.
 """
 
 from __future__ import annotations
@@ -20,29 +23,10 @@ from .bench import BenchReport, compare_inits
 from .convergence import AngularTol, FrobeniusTol, MaxIterOnly, match_columns
 from .corpus import WEIGHTINGS, Vocabulary, build_matrix, top_terms
 from .datasets import DATASETS, fetch
-from .errors import (
-    ChecksumMismatch,
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyCorpus,
-    InvalidRank,
-    NetworkError,
-    NmfError,
-    NonpositiveBaseline,
-    PTooLarge,
-    RankTooLarge,
-    ResourceLimit,
-    SingularSystem,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, InvalidConfig, NmfError, NumericalError
 from .initializers import STRATEGY_NAMES, InitStrategy
 from .mmio import read_dense, read_sparse, write_dense, write_sparse
 from .solvers import ALGORITHMS, SolverConfig, solve
-
-_NUMERICAL_ERRORS = (SingularSystem, RankTooLarge, InvalidRank, DegenerateInput,
-                     ZeroVector, NonpositiveBaseline, PTooLarge)
-_DATA_ERRORS = (EmptyCorpus, DimensionMismatch, NetworkError, ChecksumMismatch,
-                ResourceLimit, FileNotFoundError)
 
 
 def _sha256(path) -> str:
@@ -72,12 +56,6 @@ def _parse_criterion(spec: str):
     raise argparse.ArgumentTypeError(f"bad convergence spec {spec!r}; use maxiter|frob:EPS|angular:EPS")
 
 
-
-def _read_input(reader, path):
-    if not Path(path).exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    return reader(path)
-
 def cmd_build_matrix(args) -> int:
     paths = sorted(p for p in Path(args.input).iterdir() if p.is_file())
     stopwords = None
@@ -95,7 +73,7 @@ def cmd_build_matrix(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    A = _read_input(read_sparse, args.matrix)
+    A = read_sparse(args.matrix)
     config = SolverConfig(
         k=args.k,
         algorithm=args.algorithm,
@@ -110,7 +88,7 @@ def cmd_factorize(args) -> int:
         seed=args.seed,
     )
     init_seed = args.init_seed if args.init_seed is not None else args.seed
-    V = _read_input(read_dense, args.svd_v) if args.svd_v else None
+    V = read_dense(args.svd_v) if args.svd_v else None
     init = InitStrategy(
         name=args.init, p=args.init_p, pool_fraction=args.init_pool_fraction,
         V=V, seed=init_seed,
@@ -133,13 +111,13 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_topics(args) -> int:
-    W = _read_input(read_dense, args.w)
+    W = read_dense(args.w)
     vocab = Vocabulary.load(args.vocab)
     if W.shape[0] != len(vocab):
         raise DimensionMismatch(f"W has {W.shape[0]} rows but vocabulary has {len(vocab)} terms")
     order = np.arange(W.shape[1])
     if args.reorder_ref:
-        W_ref = _read_input(read_dense, args.reorder_ref)
+        W_ref = read_dense(args.reorder_ref)
         order = match_columns(W, W_ref)
     for pos, j in enumerate(order):
         terms = top_terms(W, vocab, int(j), args.top)
@@ -150,7 +128,7 @@ def cmd_topics(args) -> int:
 
 
 def _bench_common(args, algorithms: list[str]) -> int:
-    A = _read_input(read_sparse, args.matrix)
+    A = read_sparse(args.matrix)
     report = BenchReport()
     for algorithm in algorithms:
         part = compare_inits(
@@ -256,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=ALGORITHMS, default="acls")
     p.set_defaults(func=cmd_compare_inits)
 
-    p = sub.add_parser("fetch-datasets", help="download and convert a benchmark corpus")
+    p = sub.add_parser("fetch-datasets", help="convert a downloaded benchmark corpus archive")
     p.add_argument("name", help=f"one of: {', '.join(sorted(DATASETS))}")
     p.add_argument("--dest", default="data")
     p.add_argument("--weighting", choices=WEIGHTINGS, default="tfidf")
@@ -269,14 +247,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except InvalidConfig as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except _DATA_ERRORS as exc:
+    except (NmfError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NmfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

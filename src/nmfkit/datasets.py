@@ -1,65 +1,28 @@
-"""Best-effort fetchers for the classic text collections.
+"""Converters for the classic text collections, from local archives.
 
-These are a convenience only; nothing in the test suite depends on network
-access. Source URLs are recorded as published and availability is not
-guaranteed.
+Nothing is downloaded. Place the published archive in the destination
+directory first:
+
+- medlars: med.tar.gz from http://www.cs.utk.edu/~lsi/corpa/med.tar.gz
+- cisi: cisi.tar.gz from http://www.cs.utk.edu/~lsi/corpa/cisi.tar.gz
+- reuters10: reuters21578.tar.gz from
+  http://www.daviddlewis.com/resources/testcollections/reuters21578/reuters21578.tar.gz
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 import tarfile
-import urllib.error
-import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import build_matrix_from_texts
-from .errors import ChecksumMismatch, NetworkError
 from .mmio import write_sparse
 
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    name: str
-    url: str
-    sha256: str | None  # verified when recorded
-
-
 DATASETS = {
-    "medlars": DatasetSpec(
-        name="medlars",
-        url="http://www.cs.utk.edu/~lsi/corpa/med.tar.gz",
-        sha256=None,
-    ),
-    "cisi": DatasetSpec(
-        name="cisi",
-        url="http://www.cs.utk.edu/~lsi/corpa/cisi.tar.gz",
-        sha256=None,
-    ),
-    "reuters10": DatasetSpec(
-        name="reuters10",
-        url="http://www.daviddlewis.com/resources/testcollections/reuters21578/reuters21578.tar.gz",
-        sha256=None,
-    ),
+    "medlars": "med.tar.gz",
+    "cisi": "cisi.tar.gz",
+    "reuters10": "reuters21578.tar.gz",
 }
-
-
-def _download(url: str, dest: Path) -> None:
-    try:
-        with urllib.request.urlopen(url, timeout=60) as resp:
-            dest.write_bytes(resp.read())
-    except (urllib.error.URLError, OSError) as exc:
-        raise NetworkError(f"failed to download {url}: {exc}") from exc
-
-
-def _verify(path: Path, sha256: str | None) -> None:
-    if sha256 is None:
-        return
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    if digest != sha256:
-        raise ChecksumMismatch(f"{path.name}: expected {sha256}, got {digest}")
 
 
 def parse_smart_docs(text: str) -> list[str]:
@@ -118,14 +81,13 @@ def parse_reuters_top10(sgml_texts: list[str]) -> list[str]:
 
 
 def fetch(name: str, dest_dir, weighting: str = "tfidf", min_df: int = 2) -> tuple[Path, Path]:
-    """Download, parse, and convert a dataset to matrix.mtx + vocab.tsv.
+    """Parse the dataset's archive in dest_dir and convert it to matrix.mtx + vocab.tsv.
 
-    Idempotent: when the outputs already exist under dest_dir the fetch is
-    skipped (cache hit).
+    Idempotent: when the outputs already exist under dest_dir the archive is
+    not read (cache hit). A missing archive raises FileNotFoundError.
     """
     if name not in DATASETS:
         raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
-    spec = DATASETS[name]
     dest_dir = Path(dest_dir)
     dest_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = dest_dir / "matrix.mtx"
@@ -133,10 +95,9 @@ def fetch(name: str, dest_dir, weighting: str = "tfidf", min_df: int = 2) -> tup
     if matrix_path.exists() and vocab_path.exists():
         return matrix_path, vocab_path
 
-    archive = dest_dir / Path(spec.url).name
+    archive = dest_dir / DATASETS[name]
     if not archive.exists():
-        _download(spec.url, archive)
-    _verify(archive, spec.sha256)
+        raise FileNotFoundError(f"{archive} not found; place the {name} archive {archive.name} there")
 
     texts: list[str] = []
     with tarfile.open(archive) as tar:

@@ -5,31 +5,39 @@ class NmfError(Exception):
     """Base class for all nmfkit errors."""
 
 
+class NumericalError(NmfError):
+    """A computation cannot proceed on these numbers; the CLI exits 4."""
+
+
+class InvalidConfig(ValueError):
+    """A solver setting is out of range; the CLI exits 2 (usage)."""
+
+
 class DimensionMismatch(NmfError):
     """Operand shapes are inconsistent."""
 
 
-class SingularSystem(NmfError):
+class SingularSystem(NumericalError):
     """A Cholesky pivot fell below tolerance; the system is numerically singular."""
 
 
-class RankTooLarge(NmfError):
+class RankTooLarge(NumericalError):
     """Requested rank exceeds min(m, n)."""
 
 
-class InvalidRank(NmfError):
+class InvalidRank(NumericalError):
     """Solver rank is invalid for the given matrix."""
 
 
-class DegenerateInput(NmfError):
+class DegenerateInput(NumericalError):
     """Input is degenerate for the requested operation (e.g. too few nonzero columns)."""
 
 
-class PTooLarge(NmfError):
+class PTooLarge(NumericalError):
     """Column-averaging count p exceeds the available column pool."""
 
 
-class ZeroVector(NmfError):
+class ZeroVector(NumericalError):
     """A nonzero vector was required."""
 
 
@@ -37,20 +45,12 @@ class EmptyCorpus(NmfError):
     """No usable documents were supplied."""
 
 
-class NonpositiveBaseline(NmfError):
+class NonpositiveBaseline(NumericalError):
     """SVD baseline error must be positive to normalize against."""
 
 
 class ResourceLimit(NmfError):
     """An operation exceeded available memory."""
-
-
-class NetworkError(NmfError):
-    """A dataset download failed."""
-
-
-class ChecksumMismatch(NmfError):
-    """Downloaded file does not match its recorded checksum."""
 
 
 class EmptyDocumentWarning(UserWarning):

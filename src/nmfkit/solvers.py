@@ -1,8 +1,10 @@
 """Iterative NMF solvers: ACLS, AHCLS, and the MU / GDCLS baselines.
 
-All algorithms share one driver, `solve`, which wires initialization,
-iteration, checkpointed convergence evaluation, and a terminal KKT
-stationarity check.
+The four algorithms are one alternating scheme. They differ only in each
+factor's penalty and in whether its half-step is a constrained least-squares
+solve or a multiplicative update, which `_penalties` states once. All share
+one driver, `solve`, which wires initialization, iteration, checkpointed
+convergence evaluation, and a terminal KKT stationarity check.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +28,7 @@ from .convergence import (
     angular_measure,
     should_stop,
 )
-from .errors import DegenerateInput, InvalidRank, ZeroVector
+from .errors import DegenerateInput, InvalidConfig, InvalidRank, ZeroVector
 from .initializers import InitStrategy, initialize
 from .linalg import gram, residual_trace, solve_spd_ridged, trace_frob_sq
 
@@ -71,17 +74,17 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+            raise InvalidConfig(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.k < 1:
             raise InvalidRank("k must be >= 1")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidConfig("max_iter must be >= 1")
         if self.lambda_w < 0 or self.lambda_h < 0:
-            raise ValueError("lambda_w and lambda_h must be nonnegative")
+            raise InvalidConfig("lambda_w and lambda_h must be nonnegative")
         if not (0 <= self.alpha_w <= 1 and 0 <= self.alpha_h <= 1):
-            raise ValueError("alpha_w and alpha_h must lie in [0, 1]")
+            raise InvalidConfig("alpha_w and alpha_h must lie in [0, 1]")
         if self.check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
+            raise InvalidConfig("check_interval must be >= 1")
         if self.algorithm == "ahcls" and max(self.lambda_w, self.lambda_h) > 1:
             warnings.warn(
                 "AHCLS works best with lambda_w, lambda_h <= 1", UserWarning, stacklevel=2
@@ -139,48 +142,86 @@ def _repair_zero_cols(W: np.ndarray, A, rng: np.random.Generator) -> None:
             W[:, j] = np.asarray(A[:, cols].sum(axis=1)).ravel() / p
 
 
-def _cls_solve_h(A, W, ridge: float, ones_coeff: float = 0.0) -> np.ndarray:
-    """H = clip(solve(W^T W + ridge I - ones_coeff E, W^T A)); one k x k factorization."""
-    k = W.shape[1]
-    G = gram(W) + ridge * np.eye(k)
-    if ones_coeff:
-        G -= ones_coeff * np.ones((k, k))
-    return _clip(solve_spd_ridged(G, W.T @ A))
+class _Penalty(NamedTuple):
+    """Penalty ridge ||X||_F^2 - ones ||1^T X||^2 of a factor X with k rows (H, or W^T).
+
+    A multiplicative factor's half-step is an MU update and its penalty is
+    left out of the objective; the ridge still applies to the H^(0) solve.
+    """
+
+    ridge: float
+    ones: float
+    multiplicative: bool
 
 
-def _cls_solve_w(A, H, ridge: float, ones_coeff: float = 0.0) -> np.ndarray:
-    """Symmetric W-side solve: (H H^T + ridge I - ones_coeff E) W^T = H A^T."""
-    k = H.shape[0]
-    G = gram(H.T) + ridge * np.eye(k)
-    if ones_coeff:
-        G -= ones_coeff * np.ones((k, k))
-    HAt = np.asarray(A @ H.T).T  # k x m without densifying A
-    return _clip(solve_spd_ridged(G, HAt).T)
+def _penalties(
+    algorithm: str, k: int, lambda_w=0.0, lambda_h=0.0, alpha_w=0.5, alpha_h=0.5
+) -> tuple[_Penalty, _Penalty]:
+    """(W, H) penalties: the only place the four algorithms differ."""
+    if algorithm == "ahcls":
+        return (
+            _Penalty(lambda_w * ahcls_beta(k, alpha_w), lambda_w, False),
+            _Penalty(lambda_h * ahcls_beta(k, alpha_h), lambda_h, False),
+        )
+    return (
+        _Penalty(lambda_w, 0.0, algorithm in ("mu", "gdcls")),
+        _Penalty(lambda_h, 0.0, algorithm == "mu"),
+    )
+
+
+def _config_penalties(config: SolverConfig | None) -> tuple[_Penalty, _Penalty]:
+    if config is None:  # the bare fit: zero ridge on both factors
+        return _penalties("acls", 1)
+    return _penalties(
+        config.algorithm, config.k, config.lambda_w, config.lambda_h, config.alpha_w, config.alpha_h
+    )
+
+
+def _cls(G: np.ndarray, B: np.ndarray, pen: _Penalty) -> np.ndarray:
+    """clip(solve(G + ridge I - ones E, B)) for the Gram matrix G of the fixed factor."""
+    G = G + pen.ridge * np.eye(G.shape[0])
+    if pen.ones:
+        G -= pen.ones * np.ones(G.shape)
+    return _clip(solve_spd_ridged(G, B))
+
+
+def _half_h(A, W, H, pen: _Penalty, rng) -> np.ndarray:
+    if pen.multiplicative:
+        return H * (W.T @ A) / (gram(W) @ H + _MU_EPS)
+    H = _cls(gram(W), W.T @ A, pen)
+    _repair_zero_rows(H, rng)
+    return H
+
+
+def _half_w(A, W, H, pen: _Penalty, rng) -> np.ndarray:
+    AHt = np.asarray(A @ H.T)  # m x k without densifying A
+    if pen.multiplicative:
+        return W * AHt / (W @ gram(H.T) + _MU_EPS)
+    W = _cls(gram(H.T), AHt.T, pen).T
+    _repair_zero_cols(W, A, rng)
+    return W
+
+
+def _sweep(A, W, H, pens: tuple[_Penalty, _Penalty], rng) -> tuple[np.ndarray, np.ndarray]:
+    """One alternating sweep: the H half-step from W, then the W half-step from the new H."""
+    pen_w, pen_h = pens
+    if rng is None and not (pen_w.multiplicative and pen_h.multiplicative):
+        rng = np.random.default_rng(0)
+    H = _half_h(A, W, H, pen_h, rng)
+    return _half_w(A, W, H, pen_w, rng), H
 
 
 def acls_step(A, W, lambda_w: float, lambda_h: float, rng=None) -> tuple[np.ndarray, np.ndarray]:
     """One ACLS sweep: ridge-penalized CLS for H, then for W, clipping each."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    H = _cls_solve_h(A, W, lambda_h)
-    _repair_zero_rows(H, rng)
-    W = _cls_solve_w(A, H, lambda_w)
-    _repair_zero_cols(W, A, rng)
-    return W, H
+    return _sweep(A, W, None, _penalties("acls", W.shape[1], lambda_w, lambda_h), rng)
 
 
 def ahcls_step(
     A, W, lambda_w: float, lambda_h: float, alpha_w: float, alpha_h: float, rng=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One AHCLS sweep with Hoyer-targeted ridge beta and all-ones subtraction."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    k = W.shape[1]
-    beta_h = ahcls_beta(k, alpha_h)
-    beta_w = ahcls_beta(k, alpha_w)
-    H = _cls_solve_h(A, W, lambda_h * beta_h, ones_coeff=lambda_h)
-    _repair_zero_rows(H, rng)
-    W = _cls_solve_w(A, H, lambda_w * beta_w, ones_coeff=lambda_w)
-    _repair_zero_cols(W, A, rng)
-    return W, H
+    pens = _penalties("ahcls", W.shape[1], lambda_w, lambda_h, alpha_w, alpha_h)
+    return _sweep(A, W, None, pens, rng)
 
 
 def mu_step(A, W, H) -> tuple[np.ndarray, np.ndarray]:
@@ -189,18 +230,12 @@ def mu_step(A, W, H) -> tuple[np.ndarray, np.ndarray]:
     Zero entries stay zero (the locking property); the epsilon floor only
     guards denominators.
     """
-    H = H * (W.T @ A) / (gram(W) @ H + _MU_EPS)
-    W = W * np.asarray(A @ H.T) / (W @ gram(H.T) + _MU_EPS)
-    return W, H
+    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None)
 
 
 def gdcls_step(A, W, H, lambda_h: float, rng=None) -> tuple[np.ndarray, np.ndarray]:
     """Hybrid step: CLS matrix solve for H (as ACLS), multiplicative update for W."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    H = _cls_solve_h(A, W, lambda_h)
-    _repair_zero_rows(H, rng)
-    W = W * np.asarray(A @ H.T) / (W @ gram(H.T) + _MU_EPS)
-    return W, H
+    return _sweep(A, W, H, _penalties("gdcls", W.shape[1], lambda_h=lambda_h), rng)
 
 
 def _run_step(A, W, H, config: SolverConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -215,43 +250,25 @@ def _run_step(A, W, H, config: SolverConfig, rng) -> tuple[np.ndarray, np.ndarra
     return gdcls_step(A, W, H, config.lambda_h, rng=rng)
 
 
-def _penalty_terms(W, H, config: SolverConfig | None) -> float:
-    if config is None or config.algorithm == "mu":
+def _penalty_value(X, pen: _Penalty) -> float:
+    """The _Penalty value of X; none for a multiplicative factor."""
+    if pen.multiplicative:
         return 0.0
-    k = config.k
-    if config.algorithm == "acls":
-        return config.lambda_h * float(np.sum(H * H)) + config.lambda_w * float(np.sum(W * W))
-    if config.algorithm == "gdcls":
-        return config.lambda_h * float(np.sum(H * H))
-    beta_h = ahcls_beta(k, config.alpha_h)
-    beta_w = ahcls_beta(k, config.alpha_w)
-    pen_h = beta_h * float(np.sum(H * H)) - float(np.sum(H.sum(axis=0) ** 2))
-    pen_w = beta_w * float(np.sum(W * W)) - float(np.sum(W.sum(axis=1) ** 2))
-    return config.lambda_h * pen_h + config.lambda_w * pen_w
+    return pen.ridge * float(np.sum(X * X)) - pen.ones * float(np.sum(X.sum(axis=0) ** 2))
+
+
+def _penalty_grad(X, pen: _Penalty) -> np.ndarray:
+    """Gradient of _penalty_value with respect to X."""
+    if pen.multiplicative:
+        return np.zeros_like(X)
+    return 2.0 * (pen.ridge * X - pen.ones * X.sum(axis=0))
 
 
 def objective_sq(A, W, H, config: SolverConfig | None = None) -> float:
     """||A - W H||_F^2 plus the configured penalty terms (if any)."""
-    G = gram(W)
-    wta = W.T @ A
-    fit = residual_trace(A, W, H, G, wta, trace_frob_sq(A))
-    return fit + _penalty_terms(W, H, config)
-
-
-def _reg_gradients(W, H, config: SolverConfig | None) -> tuple[np.ndarray, np.ndarray]:
-    zw, zh = np.zeros_like(W), np.zeros_like(H)
-    if config is None or config.algorithm == "mu":
-        return zw, zh
-    if config.algorithm == "acls":
-        return 2.0 * config.lambda_w * W, 2.0 * config.lambda_h * H
-    if config.algorithm == "gdcls":
-        return zw, 2.0 * config.lambda_h * H
-    k = config.k
-    beta_h = ahcls_beta(k, config.alpha_h)
-    beta_w = ahcls_beta(k, config.alpha_w)
-    grad_h = 2.0 * config.lambda_h * (beta_h * H - np.tile(H.sum(axis=0), (k, 1)))
-    grad_w = 2.0 * config.lambda_w * (beta_w * W - np.tile(W.sum(axis=1)[:, None], (1, k)))
-    return grad_w, grad_h
+    fit = residual_trace(A, W, H, gram(W), W.T @ A, trace_frob_sq(A))
+    pen_w, pen_h = _config_penalties(config)
+    return fit + (_penalty_value(H, pen_h) + _penalty_value(W.T, pen_w))
 
 
 def stationarity_check(
@@ -262,9 +279,9 @@ def stationarity_check(
     The gradient matches the actually-optimized objective: penalty terms
     are included when a config is supplied.
     """
-    reg_w, reg_h = _reg_gradients(W, H, config)
-    grad_h = 2.0 * (gram(W) @ H - W.T @ A) + reg_h
-    grad_w = 2.0 * (W @ gram(H.T) - np.asarray(A @ H.T)) + reg_w
+    pen_w, pen_h = _config_penalties(config)
+    grad_h = 2.0 * (gram(W) @ H - W.T @ A) + _penalty_grad(H, pen_h)
+    grad_w = 2.0 * (W @ gram(H.T) - np.asarray(A @ H.T)) + _penalty_grad(W.T, pen_w).T
     res_w = float(np.abs(np.minimum(W, grad_w)).max())
     res_h = float(np.abs(np.minimum(H, grad_h)).max())
     return StationarityReport(
@@ -276,15 +293,9 @@ def stationarity_check(
 
 
 def _initial_h(A, W, config: SolverConfig, rng) -> np.ndarray:
-    """H^(0) by one CLS-and-clip step from W^(0)."""
-    if config.algorithm == "ahcls":
-        H = _cls_solve_h(
-            A, W, config.lambda_h * ahcls_beta(config.k, config.alpha_h), ones_coeff=config.lambda_h
-        )
-    else:
-        H = _cls_solve_h(A, W, config.lambda_h)
-    _repair_zero_rows(H, rng)
-    return H
+    """H^(0) by one CLS-and-clip step from W^(0), also when H's sweeps are multiplicative."""
+    pen_h = _config_penalties(config)[1]._replace(multiplicative=False)
+    return _half_h(A, W, None, pen_h, rng)
 
 
 def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResult:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from nmfkit import cli
 from nmfkit.cli import main
 from nmfkit.corpus import mini_corpus
+from nmfkit.errors import NmfError, NumericalError
 from nmfkit.mmio import read_dense, read_sparse
 
 
@@ -125,6 +127,45 @@ def test_exit_code_data_error(tmp_path):
 
 def test_exit_code_usage_error(tmp_path, capsys):
     assert main(["fetch-datasets", "not-a-dataset", "--dest", str(tmp_path)]) == 2
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(_all_subclasses(NmfError), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_exit_code_by_error_class(error, monkeypatch, tmp_path, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_topics", fail)
+    expected = 4 if issubclass(error, NumericalError) else 3
+    assert main(["topics", "--w", str(tmp_path / "W.mtx"), "--vocab", "v.tsv"]) == expected
+
+
+@pytest.mark.parametrize("option", [
+    ["--lambda-w", "-1"], ["--alpha-h", "2"], ["--check-interval", "0"], ["--max-iter", "0"],
+])
+def test_out_of_range_solver_option_is_usage_error(option, matrix_path, capsys):
+    assert main(["factorize", "--matrix", str(matrix_path), "--k", "2", *option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_benchmark_negative_lambda_is_usage_error(matrix_path, tmp_path, capsys):
+    assert main([
+        "compare-inits", "--matrix", str(matrix_path), "--k", "2", "--inits", "acol",
+        "--seeds", "1", "--checkpoints", "0", "--init-p", "3", "--lambda-h", "-0.5",
+        "--out", str(tmp_path / "r.csv"),
+    ]) == 2
+
+
+def test_fetch_datasets_missing_archive_is_data_error(tmp_path, capsys):
+    assert main(["fetch-datasets", "medlars", "--dest", str(tmp_path)]) == 3
+    assert "med.tar.gz" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

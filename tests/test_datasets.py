@@ -1,7 +1,10 @@
+import tarfile
+
 import pytest
 
-from nmfkit.datasets import _verify, fetch, parse_reuters_top10, parse_smart_docs
-from nmfkit.errors import ChecksumMismatch
+from nmfkit.corpus import Vocabulary
+from nmfkit.datasets import fetch, parse_reuters_top10, parse_smart_docs
+from nmfkit.mmio import read_sparse
 
 SMART_SAMPLE = """.I 1
 .W
@@ -71,8 +74,14 @@ class TestFetch:
         assert matrix_path.read_text() == "placeholder"
         assert vocab_path.read_text() == "placeholder"
 
-    def test_checksum_mismatch(self, tmp_path):
-        payload = tmp_path / "blob.bin"
-        payload.write_bytes(b"tampered bytes")
-        with pytest.raises(ChecksumMismatch):
-            _verify(payload, "0" * 64)
+    def test_converts_local_smart_archive(self, tmp_path):
+        doc = tmp_path / "MED.ALL"
+        doc.write_text(".I 1\n.W\nbrown fox jumps\n.I 2\n.T\ntitle\n.W\nlazy brown dog\n.I 3\n.W\nfox dog\n")
+        with tarfile.open(tmp_path / "med.tar.gz", "w:gz") as tar:
+            tar.add(doc, arcname="med/MED.ALL")
+        matrix_path, vocab_path = fetch("medlars", tmp_path, weighting="tf")
+        assert (matrix_path.name, vocab_path.name) == ("matrix.mtx", "vocab.tsv")
+        A = read_sparse(matrix_path)
+        terms = Vocabulary.load(vocab_path).terms
+        assert sorted(terms) == ["brown", "dog", "fox"]
+        assert A.shape == (3, 3) and A.nnz == 6
