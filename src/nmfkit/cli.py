@@ -49,11 +49,14 @@ def _parse_criterion(spec: str):
     if spec == "maxiter":
         return MaxIterOnly()
     kind, _, eps = spec.partition(":")
-    if kind == "frob":
-        return FrobeniusTol(eps_f=float(eps) if eps else None)
-    if kind == "angular":
-        return AngularTol(eps_deg=float(eps) if eps else 1.0)
-    raise argparse.ArgumentTypeError(f"bad convergence spec {spec!r}; use maxiter|frob:EPS|angular:EPS")
+    try:
+        if kind == "frob":
+            return FrobeniusTol(eps_f=float(eps) if eps else None)
+        if kind == "angular":
+            return AngularTol(eps_deg=float(eps) if eps else 1.0)
+    except ValueError as exc:
+        raise InvalidConfig(f"bad convergence spec {spec!r}: {exc}") from exc
+    raise InvalidConfig(f"bad convergence spec {spec!r}; use maxiter|frob:EPS|angular:EPS")
 
 
 def cmd_build_matrix(args) -> int:
@@ -159,11 +162,7 @@ def cmd_compare_inits(args) -> int:
 
 def cmd_fetch_datasets(args) -> int:
     if args.name not in DATASETS:
-        print(
-            f"unknown dataset {args.name!r}; available: {', '.join(sorted(DATASETS))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise InvalidConfig(f"unknown dataset {args.name!r}; available: {', '.join(sorted(DATASETS))}")
     matrix_path, vocab_path = fetch(args.name, args.dest, weighting=args.weighting)
     _write_manifest(Path(args.dest), "fetch-datasets", args, [matrix_path, vocab_path])
     print(f"{args.name}: {matrix_path} and {vocab_path}")

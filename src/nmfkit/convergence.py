@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConfig
+from .linalg import normalize_columns
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class AngularTol:
 
     def __post_init__(self):
         if not 0 < self.eps_deg < 90:
-            raise ValueError("eps_deg must lie in (0, 90)")
+            raise InvalidConfig(f"eps_deg must lie in (0, 90), got {self.eps_deg!r}")
 
 
 Criterion = MaxIterOnly | FrobeniusTol | AngularTol
@@ -84,12 +85,7 @@ def match_columns(W: np.ndarray, W_ref: np.ndarray) -> np.ndarray:
     if W.shape != W_ref.shape:
         raise DimensionMismatch(f"shapes {W.shape} and {W_ref.shape} differ")
     k = W.shape[1]
-
-    def unit(X):
-        norms = np.linalg.norm(X, axis=0)
-        return X / np.where(norms > 0, norms, 1.0)
-
-    sims = unit(W_ref).T @ unit(W)  # sims[j, i] = cos(ref_j, W_i)
+    sims = normalize_columns(W_ref).T @ normalize_columns(W)  # sims[j, i] = cos(ref_j, W_i)
     perm = np.full(k, -1, dtype=int)
     taken_ref, taken_w = set(), set()
     flat = [(-sims[j, i], j, i) for j in range(k) for i in range(k)]
@@ -115,9 +111,9 @@ def angular_measure(
         raise DimensionMismatch(f"shapes {W_prev.shape} and {W_curr.shape} differ")
     if rematch:
         W_curr = W_curr[:, match_columns(W_curr, W_prev)]
-    np_prev = np.linalg.norm(W_prev, axis=0)
-    np_curr = np.linalg.norm(W_curr, axis=0)
-    dots = np.sum(W_prev * W_curr, axis=0)
+    np_prev = np.sqrt(np.einsum("ij,ij->j", W_prev, W_prev))
+    np_curr = np.sqrt(np.einsum("ij,ij->j", W_curr, W_curr))
+    dots = np.einsum("ij,ij->j", W_prev, W_curr)
     zero = (np_prev == 0) | (np_curr == 0)
     denom = np.where(zero, 1.0, np_prev * np_curr)
     cos = np.clip(dots / denom, -1.0, 1.0)

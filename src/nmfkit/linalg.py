@@ -7,12 +7,11 @@ All functions are pure; callers own their arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DegenerateInput, DimensionMismatch, RankTooLarge, SingularSystem
 
@@ -22,13 +21,6 @@ _PIVOT_RTOL = 1e-12
 _RETRY_RIDGE = 1e-10
 
 
-def as_dense(x) -> np.ndarray:
-    """Materialize a (possibly sparse) matrix as a float ndarray."""
-    if sp.issparse(x):
-        return np.asarray(x.todense(), dtype=float)
-    return np.asarray(x, dtype=float)
-
-
 def gram(M: np.ndarray) -> np.ndarray:
     """Return M^T M, exactly symmetric (upper triangle computed, mirrored)."""
     G = M.T @ M
@@ -36,31 +28,13 @@ def gram(M: np.ndarray) -> np.ndarray:
     return G + np.triu(G, 1).T
 
 
-def _cholesky_lower(G: np.ndarray) -> np.ndarray:
-    """Cholesky factor of G with an explicit pivot check.
-
-    Raises SingularSystem when a pivot falls below _PIVOT_RTOL * max|G|,
-    signalling the caller to add (more) ridge.
-    """
-    k = G.shape[0]
-    max_g = float(np.abs(G).max()) if G.size else 0.0
-    tol = _PIVOT_RTOL * max(max_g, 1e-300)
-    L = np.zeros_like(G, dtype=float)
-    for j in range(k):
-        d = G[j, j] - L[j, :j] @ L[j, :j]
-        if d <= tol:
-            raise SingularSystem(f"pivot {d:.3e} below tolerance {tol:.3e} at index {j}")
-        L[j, j] = math.sqrt(d)
-        if j + 1 < k:
-            L[j + 1 :, j] = (G[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
 def solve_spd_multi(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve G X = B for all columns of B with one Cholesky factorization.
+    """Solve G X = B for all columns of B with one LAPACK Cholesky factorization.
 
     G must be symmetric positive definite (the caller typically guarantees
-    this through a ridge term). Raises SingularSystem on pivot failure.
+    this through a ridge term). Raises SingularSystem when the factorization
+    fails or a pivot (diag(L)^2) falls below _PIVOT_RTOL * max|G|, signalling
+    the caller to add (more) ridge.
     """
     G = np.asarray(G, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -68,9 +42,15 @@ def solve_spd_multi(G: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"G must be square, got {G.shape}")
     if B.shape[0] != G.shape[0]:
         raise DimensionMismatch(f"G is {G.shape} but B has {B.shape[0]} rows")
-    L = _cholesky_lower(G)
-    Y = solve_triangular(L, B, lower=True)
-    return solve_triangular(L.T, Y, lower=False)
+    try:
+        factor = cho_factor(G, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SingularSystem(f"Cholesky factorization failed: {exc}") from exc
+    pivot = float(np.min(np.diag(factor[0]) ** 2))
+    tol = _PIVOT_RTOL * max(float(np.abs(G).max()), 1e-300)
+    if pivot <= tol:
+        raise SingularSystem(f"pivot {pivot:.3e} below tolerance {tol:.3e}")
+    return cho_solve(factor, B, check_finite=False)
 
 
 def solve_spd_ridged(G: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -91,18 +71,14 @@ def trace_frob_sq(A) -> float:
 
 
 def residual_trace(
-    A,
-    W: np.ndarray,
-    H: np.ndarray,
-    gram_w: np.ndarray,
-    wta: np.ndarray,
-    trace_ata: float,
+    A, W: np.ndarray, H: np.ndarray, gram_w: np.ndarray, wta: np.ndarray, trace_ata: float
 ) -> float:
-    """||A - W H||_F^2 via trace expansion, reusing least-squares byproducts.
+    """||A - W H||_F^2 = trace(A^T A) - 2<W^T A, H> + <W^T W, H H^T>, from byproducts.
 
-    gram_w = W^T W and wta = W^T A come from the most recent CLS step;
-    trace_ata is trace(A^T A) computed once. Tiny negative round-off is
-    clamped to zero.
+    gram_w = W^T W and wta = W^T A come from the most recent H half-step;
+    trace_ata is trace(A^T A) computed once. The W half-step's byproducts
+    serve as well, with the roles swapped: pass A^T, H^T, W^T, H H^T and
+    (A H^T)^T. Tiny negative round-off is clamped to zero.
     """
     m, n = A.shape
     k = W.shape[1]
@@ -110,8 +86,8 @@ def residual_trace(
         raise DimensionMismatch(f"A {A.shape}, W {W.shape}, H {H.shape} are inconsistent")
     if gram_w.shape != (k, k) or wta.shape != (k, n):
         raise DimensionMismatch("byproduct shapes do not match the factor rank")
-    cross = float(np.sum(wta * H))
-    quad = float(np.sum((gram_w @ H) * H))
+    cross = float(np.einsum("ij,ij->", wta, H))
+    quad = float(np.einsum("ij,ij->", gram_w, H @ H.T))
     val = trace_ata - 2.0 * cross + quad
     return max(val, 0.0)
 
@@ -147,10 +123,10 @@ def truncated_svd(A, k: int, seed: int = 0, oversample: int = 10, power_iters: i
     return SvdTriple(U=Q @ Ub[:, :k], singular_values=s[:k].copy(), V=Vt[:k].T.copy())
 
 
-def _normalize_columns(X: np.ndarray) -> np.ndarray:
+def normalize_columns(X: np.ndarray) -> np.ndarray:
+    """X with each nonzero column scaled to unit 2-norm."""
     norms = np.linalg.norm(X, axis=0)
-    out = X / np.where(norms > 0, norms, 1.0)
-    return out
+    return X / np.where(norms > 0, norms, 1.0)
 
 
 def spherical_kmeans(
@@ -169,7 +145,7 @@ def spherical_kmeans(
     dims, ncols = X.shape
     if k > ncols:
         raise DegenerateInput(f"k={k} exceeds the {ncols} available columns")
-    Xn = _normalize_columns(X)
+    Xn = normalize_columns(X)
     rng = np.random.default_rng(seed)
     centroids = Xn[:, rng.choice(ncols, size=k, replace=False)].copy()
     assign = np.zeros(ncols, dtype=int)
@@ -203,7 +179,7 @@ def centroid_decomposition(M, k: int, seed: int = 0) -> np.ndarray:
     columns remain the input is degenerate. Nonnegative input yields
     nonnegative centroids.
     """
-    X = as_dense(M)
+    X = np.asarray(M.todense() if sp.issparse(M) else M, dtype=float)
     norms = np.linalg.norm(X, axis=0)
     keep = norms > 0
     if int(keep.sum()) < k:

@@ -126,20 +126,19 @@ def _repair_zero_rows(H: np.ndarray, rng: np.random.Generator) -> None:
     """Replace all-zero H rows with small positives so HH^T stays full rank."""
     dead = np.flatnonzero(~H.any(axis=1))
     if dead.size:
-        scale = max(float(H.max()), 1.0) * 1e-3
-        for i in dead:
-            H[i, :] = rng.random(H.shape[1]) * scale
+        H[dead] = rng.random((dead.size, H.shape[1])) * (max(float(H.max()), 1.0) * 1e-3)
 
 
 def _repair_zero_cols(W: np.ndarray, A, rng: np.random.Generator) -> None:
-    """Replace all-zero W columns with a fresh random-Acol draw."""
+    """Replace all-zero W columns with a fresh random-Acol draw (A @ indicator: O(nnz) on CSR)."""
     dead = np.flatnonzero(~W.any(axis=0))
     if dead.size:
         n = A.shape[1]
         p = min(20, n)
         for j in dead:
-            cols = rng.choice(n, size=p, replace=False)
-            W[:, j] = np.asarray(A[:, cols].sum(axis=1)).ravel() / p
+            indicator = np.zeros(n)
+            indicator[rng.choice(n, size=p, replace=False)] = 1.0
+            W[:, j] = A @ indicator / p
 
 
 class _Penalty(NamedTuple):
@@ -177,77 +176,104 @@ def _config_penalties(config: SolverConfig | None) -> tuple[_Penalty, _Penalty]:
     )
 
 
+def _system(G: np.ndarray, pen: _Penalty) -> np.ndarray:
+    """M = G + ridge I - ones E, of the normal equations M X = B and the gradient 2 (M X - B)."""
+    if pen.multiplicative:
+        return G
+    M = G + pen.ridge * np.eye(G.shape[0])
+    if pen.ones:
+        M -= pen.ones * np.ones(G.shape)
+    return M
+
+
 def _cls(G: np.ndarray, B: np.ndarray, pen: _Penalty) -> np.ndarray:
     """clip(solve(G + ridge I - ones E, B)) for the Gram matrix G of the fixed factor."""
-    G = G + pen.ridge * np.eye(G.shape[0])
-    if pen.ones:
-        G -= pen.ones * np.ones(G.shape)
-    return _clip(solve_spd_ridged(G, B))
+    return _clip(solve_spd_ridged(_system(G, pen), B))
 
 
-def _half_h(A, W, H, pen: _Penalty, rng) -> np.ndarray:
+def _mu(X: np.ndarray, den: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """Multiplicative update X * num / (den + eps), computed in den's memory."""
+    den += _MU_EPS
+    np.divide(num, den, out=den)
+    den *= X
+    return den
+
+
+def _half_h(H, WtW, WtA, pen: _Penalty, rng) -> np.ndarray:
+    """New H from W's byproducts WtW = W^T W and WtA = W^T A."""
     if pen.multiplicative:
-        return H * (W.T @ A) / (gram(W) @ H + _MU_EPS)
-    H = _cls(gram(W), W.T @ A, pen)
+        return _mu(H, WtW @ H, WtA)
+    H = _cls(WtW, WtA, pen)
     _repair_zero_rows(H, rng)
     return H
 
 
-def _half_w(A, W, H, pen: _Penalty, rng) -> np.ndarray:
-    AHt = np.asarray(A @ H.T)  # m x k without densifying A
+def _half_w(A, W, HHt, AHt, pen: _Penalty, rng) -> np.ndarray:
+    """New W from H's byproducts HHt = H H^T and AHt = A H^T."""
     if pen.multiplicative:
-        return W * AHt / (W @ gram(H.T) + _MU_EPS)
-    W = _cls(gram(H.T), AHt.T, pen).T
+        return _mu(W, W @ HHt, AHt)
+    W = _cls(HHt, AHt.T, pen).T
     _repair_zero_cols(W, A, rng)
     return W
 
 
-def _sweep(A, W, H, pens: tuple[_Penalty, _Penalty], rng) -> tuple[np.ndarray, np.ndarray]:
-    """One alternating sweep: the H half-step from W, then the W half-step from the new H."""
+def _sweep(A, W, H, pens: tuple[_Penalty, _Penalty], rng, byproducts) -> tuple[np.ndarray, np.ndarray]:
+    """One alternating sweep: the H half-step from W, then the W half-step from the new H.
+
+    Returns a new W and H, leaving the arguments as they were. A byproducts
+    dict receives the W half-step's HHt and AHt, enough for the residual.
+    """
     pen_w, pen_h = pens
     if rng is None and not (pen_w.multiplicative and pen_h.multiplicative):
         rng = np.random.default_rng(0)
-    H = _half_h(A, W, H, pen_h, rng)
-    return _half_w(A, W, H, pen_w, rng), H
+    H = _half_h(H, gram(W), np.asarray(W.T @ A), pen_h, rng)
+    HHt, AHt = gram(H.T), np.asarray(A @ H.T)  # m x k without densifying A
+    W = _half_w(A, W, HHt, AHt, pen_w, rng)
+    if byproducts is not None:
+        byproducts.update(HHt=HHt, AHt=AHt)
+    return W, H
 
 
-def acls_step(A, W, lambda_w: float, lambda_h: float, rng=None) -> tuple[np.ndarray, np.ndarray]:
+def acls_step(
+    A, W, lambda_w: float, lambda_h: float, rng=None, *, byproducts=None
+) -> tuple[np.ndarray, np.ndarray]:
     """One ACLS sweep: ridge-penalized CLS for H, then for W, clipping each."""
-    return _sweep(A, W, None, _penalties("acls", W.shape[1], lambda_w, lambda_h), rng)
+    return _sweep(A, W, None, _penalties("acls", W.shape[1], lambda_w, lambda_h), rng, byproducts)
 
 
 def ahcls_step(
-    A, W, lambda_w: float, lambda_h: float, alpha_w: float, alpha_h: float, rng=None
+    A, W, lambda_w: float, lambda_h: float, alpha_w: float, alpha_h: float, rng=None,
+    *, byproducts=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One AHCLS sweep with Hoyer-targeted ridge beta and all-ones subtraction."""
     pens = _penalties("ahcls", W.shape[1], lambda_w, lambda_h, alpha_w, alpha_h)
-    return _sweep(A, W, None, pens, rng)
+    return _sweep(A, W, None, pens, rng, byproducts)
 
 
-def mu_step(A, W, H) -> tuple[np.ndarray, np.ndarray]:
+def mu_step(A, W, H, *, byproducts=None) -> tuple[np.ndarray, np.ndarray]:
     """One Lee-Seung multiplicative-update sweep (mean-squared-error form).
 
     Zero entries stay zero (the locking property); the epsilon floor only
     guards denominators.
     """
-    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None)
+    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None, byproducts)
 
 
-def gdcls_step(A, W, H, lambda_h: float, rng=None) -> tuple[np.ndarray, np.ndarray]:
+def gdcls_step(A, W, H, lambda_h: float, rng=None, *, byproducts=None) -> tuple[np.ndarray, np.ndarray]:
     """Hybrid step: CLS matrix solve for H (as ACLS), multiplicative update for W."""
-    return _sweep(A, W, H, _penalties("gdcls", W.shape[1], lambda_h=lambda_h), rng)
+    return _sweep(A, W, H, _penalties("gdcls", W.shape[1], lambda_h=lambda_h), rng, byproducts)
 
 
-def _run_step(A, W, H, config: SolverConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    if config.algorithm == "acls":
-        return acls_step(A, W, config.lambda_w, config.lambda_h, rng=rng)
-    if config.algorithm == "ahcls":
+def _run_step(A, W, H, c: SolverConfig, rng, byproducts=None) -> tuple[np.ndarray, np.ndarray]:
+    if c.algorithm == "acls":
+        return acls_step(A, W, c.lambda_w, c.lambda_h, rng=rng, byproducts=byproducts)
+    if c.algorithm == "ahcls":
         return ahcls_step(
-            A, W, config.lambda_w, config.lambda_h, config.alpha_w, config.alpha_h, rng=rng
+            A, W, c.lambda_w, c.lambda_h, c.alpha_w, c.alpha_h, rng=rng, byproducts=byproducts
         )
-    if config.algorithm == "mu":
-        return mu_step(A, W, H)
-    return gdcls_step(A, W, H, config.lambda_h, rng=rng)
+    if c.algorithm == "mu":
+        return mu_step(A, W, H, byproducts=byproducts)
+    return gdcls_step(A, W, H, c.lambda_h, rng=rng, byproducts=byproducts)
 
 
 def _penalty_value(X, pen: _Penalty) -> float:
@@ -257,18 +283,19 @@ def _penalty_value(X, pen: _Penalty) -> float:
     return pen.ridge * float(np.sum(X * X)) - pen.ones * float(np.sum(X.sum(axis=0) ** 2))
 
 
-def _penalty_grad(X, pen: _Penalty) -> np.ndarray:
-    """Gradient of _penalty_value with respect to X."""
-    if pen.multiplicative:
-        return np.zeros_like(X)
-    return 2.0 * (pen.ridge * X - pen.ones * X.sum(axis=0))
-
-
 def objective_sq(A, W, H, config: SolverConfig | None = None) -> float:
     """||A - W H||_F^2 plus the configured penalty terms (if any)."""
     fit = residual_trace(A, W, H, gram(W), W.T @ A, trace_frob_sq(A))
     pen_w, pen_h = _config_penalties(config)
     return fit + (_penalty_value(H, pen_h) + _penalty_value(W.T, pen_w))
+
+
+def _kkt_residual(X, G, B, pen: _Penalty) -> float:
+    """max |min(X, grad)| for grad = 2 (X M - B), X with k columns, built in one array."""
+    grad = X @ _system(G, pen)
+    grad -= B
+    grad *= 2.0
+    return float(np.abs(np.minimum(X, grad, out=grad), out=grad).max())
 
 
 def stationarity_check(
@@ -280,22 +307,18 @@ def stationarity_check(
     are included when a config is supplied.
     """
     pen_w, pen_h = _config_penalties(config)
-    grad_h = 2.0 * (gram(W) @ H - W.T @ A) + _penalty_grad(H, pen_h)
-    grad_w = 2.0 * (W @ gram(H.T) - np.asarray(A @ H.T)) + _penalty_grad(W.T, pen_w).T
-    res_w = float(np.abs(np.minimum(W, grad_w)).max())
-    res_h = float(np.abs(np.minimum(H, grad_h)).max())
-    return StationarityReport(
-        max_residual_w=res_w,
-        max_residual_h=res_h,
-        tol=tol,
-        passed=max(res_w, res_h) <= tol,
-    )
+    res_h = _kkt_residual(H.T, gram(W), np.asarray(A.T @ W), pen_h)
+    res_w = _kkt_residual(W, gram(H.T), np.asarray(A @ H.T), pen_w)
+    return StationarityReport(res_w, res_h, tol, passed=max(res_w, res_h) <= tol)
 
 
-def _initial_h(A, W, config: SolverConfig, rng) -> np.ndarray:
-    """H^(0) by one CLS-and-clip step from W^(0), also when H's sweeps are multiplicative."""
+def _initial_h(A, W, config: SolverConfig, rng, byproducts: dict | None = None) -> np.ndarray:
+    """H^(0) by one CLS-and-clip step from W^(0), also for an MU H; byproducts receives WtW, WtA."""
     pen_h = _config_penalties(config)[1]._replace(multiplicative=False)
-    return _half_h(A, W, None, pen_h, rng)
+    WtW, WtA = gram(W), np.asarray(W.T @ A)
+    if byproducts is not None:
+        byproducts.update(WtW=WtW, WtA=WtA)
+    return _half_h(None, WtW, WtA, pen_h, rng)
 
 
 def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResult:
@@ -303,17 +326,12 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
 
     Convergence is evaluated every check_interval iterations (and at the
     final iteration); early stopping only engages past burn_in. The trace
-    always contains the iteration-0 checkpoint.
+    always contains the iteration-0 checkpoint. The initializer sees A as
+    given; the iterations use one CSR copy of it (none if A is CSR already).
     """
-    A = sp.csc_array(A)
     m, n = A.shape
     if config.k > min(m, n):
         raise InvalidRank(f"k={config.k} exceeds min{A.shape}={min(m, n)}")
-    criterion = config.criterion
-    trace_ata = trace_frob_sq(A)
-    if isinstance(criterion, FrobeniusTol) and criterion.eps_f is None:
-        criterion = FrobeniusTol(eps_f=1e-4 * math.sqrt(trace_ata))
-
     rng = np.random.default_rng(config.seed)
     if isinstance(init, np.ndarray):
         W = np.array(init, dtype=float, copy=True)
@@ -321,30 +339,39 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
             raise InvalidRank(f"supplied W0 has shape {W.shape}, expected {(m, config.k)}")
     else:
         W = initialize(A, config.k, init)
-    H = _initial_h(A, W, config, rng)
+    A = sp.csr_array(A)
+    criterion = config.criterion
+    trace_ata = trace_frob_sq(A)
+    if isinstance(criterion, FrobeniusTol) and criterion.eps_f is None:
+        criterion = FrobeniusTol(eps_f=1e-4 * math.sqrt(trace_ata))
+    byproducts = {}
+    H = _initial_h(A, W, config, rng, byproducts)
 
     t0 = time.perf_counter()
     trace = ConvergenceTrace()
     trace.append(
         Checkpoint(
             iteration=0,
-            objective_sq=residual_trace(A, W, H, gram(W), W.T @ A, trace_ata),
+            objective_sq=residual_trace(A, W, H, byproducts["WtW"], byproducts["WtA"], trace_ata),
             theta_max_deg=None,
             elapsed_s=time.perf_counter() - t0,
         )
     )
+    del byproducts
 
     termination = "maxiter"
     iterations_run = config.max_iter
     for it in range(1, config.max_iter + 1):
-        at_checkpoint = (it % config.check_interval == 0) or it == config.max_iter
-        if at_checkpoint:
-            W_before = W.copy()
-        W, H = _run_step(A, W, H, config, rng)
-        if not at_checkpoint:
+        if it % config.check_interval and it != config.max_iter:
+            W, H = _run_step(A, W, H, config, rng)
             continue
-        thetas = angular_measure(W_before, W)
-        obj = residual_trace(A, W, H, gram(W), W.T @ A, trace_ata)
+        # steps return a new W, so W_prev holds the previous iterate without a copy
+        W_prev, byproducts = W, {}
+        W, H = _run_step(A, W, H, config, rng, byproducts)
+        thetas = angular_measure(W_prev, W)
+        del W_prev
+        obj = residual_trace(A.T, H.T, W.T, byproducts["HHt"], byproducts["AHt"].T, trace_ata)
+        del byproducts
         trace.append(
             Checkpoint(
                 iteration=it,

@@ -12,6 +12,7 @@ from nmfkit.linalg import (
     gram,
     residual_trace,
     solve_spd_multi,
+    solve_spd_ridged,
     spherical_kmeans,
     trace_frob_sq,
     truncated_svd,
@@ -240,3 +241,20 @@ class TestSphericalKmeansOracle:
         ours_obj = TestCentroidDecomposition._dispersion(Xn, ours, 3)
         oracle_obj = TestCentroidDecomposition._dispersion(Xn, km.labels_, 3)
         assert ours_obj == pytest.approx(oracle_obj, abs=1e-6)
+
+
+class TestSingularContract:
+    def test_tiny_pivot_raises_and_ridged_solve_recovers(self):
+        # pivot 1e-14 is below _PIVOT_RTOL * max|G| = 1e-12, though G is positive definite
+        G = np.diag([1.0, 1e-14])
+        B = np.array([[1.0], [1e-14]])
+        with pytest.raises(SingularSystem):
+            solve_spd_multi(G, B)
+        X = solve_spd_ridged(G, B)
+        assert np.isfinite(X).all()
+        assert X[0, 0] == pytest.approx(1.0, rel=1e-9)
+
+    def test_indefinite_raises_singular_system_not_linalgerror(self):
+        G = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(SingularSystem):
+            solve_spd_multi(G, np.eye(2))

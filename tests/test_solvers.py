@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import planted_instance, rand_sparse
-from nmfkit.convergence import MaxIterOnly
+from nmfkit.convergence import AngularTol, MaxIterOnly
+from nmfkit.corpus import mini_matrix
 from nmfkit.errors import DegenerateInput, InvalidRank, ZeroVector
 from nmfkit.initializers import InitStrategy
 from nmfkit.solvers import (
     SolverConfig,
+    _repair_zero_cols,
     acls_step,
     ahcls_beta,
     ahcls_step,
@@ -313,3 +317,90 @@ class TestSolve:
     def test_ahcls_lambda_warning(self):
         with pytest.warns(UserWarning):
             SolverConfig(k=3, algorithm="ahcls", lambda_h=5.0)
+
+
+class TestSolveInvariants:
+    @pytest.mark.parametrize("algorithm", ["acls", "ahcls", "mu", "gdcls"])
+    def test_same_result_for_every_input_format(self, algorithm):
+        # solve iterates on its own CSR copy, so the caller's format must not matter
+        A = rand_sparse(60, 40, density=0.2, seed=11)
+        config = SolverConfig(
+            k=4, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=40,
+            criterion=AngularTol(eps_deg=0.5), check_interval=5, burn_in=10, seed=2,
+        )
+        runs = [
+            solve(X, config, InitStrategy(name="acol", p=5, seed=2))
+            for X in (A, sp.csr_array(A), sp.coo_array(A), A.toarray())
+        ]
+        ref = runs[0]
+        for r in runs[1:]:
+            assert r.iterations_run == ref.iterations_run
+            assert r.termination == ref.termination
+            assert r.trace.checkpoints[-1].objective_sq == pytest.approx(
+                ref.trace.checkpoints[-1].objective_sq, rel=1e-12
+            )
+
+    def test_public_steps_leave_arguments_unmodified(self):
+        # the driver keeps the previous W by reference, so a step must never write into it
+        A = rand_sparse(30, 20, density=0.3, seed=12)
+        rng = np.random.default_rng(13)
+        W, H = rng.random((30, 3)), rng.random((3, 20))
+        W[:, 0] = 0.0  # a dead column exercises the repair path
+        steps = [
+            lambda: acls_step(A, W, 0.1, 0.1, rng=np.random.default_rng(0)),
+            lambda: ahcls_step(A, W, 0.1, 0.1, 0.5, 0.5, rng=np.random.default_rng(0)),
+            lambda: mu_step(A, W, H),
+            lambda: gdcls_step(A, W, H, 0.1, rng=np.random.default_rng(0)),
+        ]
+        for step in steps:
+            W0, H0 = W.copy(), H.copy()
+            W1, H1 = step()
+            assert np.array_equal(W, W0) and np.array_equal(H, H0)
+            assert W1 is not W and H1 is not H
+
+    def test_repair_zero_cols_matches_column_average_oracle(self):
+        # oracle: the same rng draws, averaged by explicit column slicing of the dense matrix
+        A = rand_sparse(25, 30, density=0.3, seed=14)
+        W = np.random.default_rng(15).random((25, 4))
+        W[:, [1, 3]] = 0.0
+        _repair_zero_cols(W, sp.csr_array(A), np.random.default_rng(16))
+        rng, dense = np.random.default_rng(16), A.toarray()
+        for j in (1, 3):
+            cols = rng.choice(30, size=20, replace=False)
+            assert np.allclose(W[:, j], dense[:, cols].sum(axis=1) / 20, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("algorithm", ["acls", "mu", "gdcls"])
+    def test_working_set_stays_within_nnz_plus_three_factor_copies(self, algorithm):
+        # memory must scale with nnz(A) + (m+n)k: one CSR copy of A (at most 16 bytes per
+        # nonzero) plus at most three (m+n) x k float arrays of temporaries
+        m, n, k = 3000, 1000, 20
+        A = sp.random(m, n, density=0.01, format="csc", random_state=np.random.default_rng(17))
+        W0 = np.random.default_rng(18).random((m, k))
+        config = SolverConfig(k=k, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=20)
+        tracemalloc.start()
+        try:
+            solve(A, config, W0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * A.nnz + 3 * 8 * (m + n) * k
+
+
+# Final objectives of a fixed mini-corpus solve, recorded before the solver moved to a CSR
+# copy of A and LAPACK Cholesky; the new summation order may only move them at round-off.
+PINNED_OBJECTIVES = {
+    "acls": 1532523.4083898896,
+    "ahcls": 1533014.285858308,
+    "mu": 2051481.779507433,
+    "gdcls": 2019790.8903352786,
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_OBJECTIVES))
+def test_pinned_final_objective(algorithm):
+    A, _ = mini_matrix("tfidf")
+    config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=20, seed=0)
+    result = solve(A, config, InitStrategy(name="acol", p=3, seed=0))
+    assert result.trace.checkpoints[-1].objective_sq == pytest.approx(
+        PINNED_OBJECTIVES[algorithm], rel=1e-9
+    )
