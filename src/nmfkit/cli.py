@@ -51,7 +51,7 @@ def _parse_criterion(spec: str):
     kind, _, eps = spec.partition(":")
     try:
         if kind == "frob":
-            return FrobeniusTol(eps_f=float(eps) if eps else None)
+            return FrobeniusTol(eps_f=float(eps))
         if kind == "angular":
             return AngularTol(eps_deg=float(eps) if eps else 1.0)
     except ValueError as exc:

@@ -18,12 +18,9 @@ class MaxIterOnly:
 
 @dataclass(frozen=True)
 class FrobeniusTol:
-    """Stop when ||A - W H||_F <= eps_f.
+    """Stop when ||A - W H||_F <= eps_f."""
 
-    eps_f=None resolves to 1e-4 * ||A||_F at solve time.
-    """
-
-    eps_f: float | None = None
+    eps_f: float
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,6 @@ def should_stop(
         return None
     latest = trace.checkpoints[-1]
     if isinstance(criterion, FrobeniusTol):
-        if criterion.eps_f is None:
-            raise ValueError("FrobeniusTol.eps_f must be resolved before checking")
         if np.sqrt(latest.objective_sq) <= criterion.eps_f:
             return "frobenius_tol"
         return None

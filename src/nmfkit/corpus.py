@@ -135,9 +135,9 @@ def build_matrix_from_texts(
             rows.append(i)
             cols.append(j)
             vals.append(float(c))
-    counts = sp.csc_array(
-        (vals, (rows, cols)), shape=(len(vocab), len(texts)), dtype=float
-    )
+    idx = np.int32 if len(vals) < 2**31 else np.int64  # scipy keeps int64 list coordinates
+    coords = (np.array(rows, dtype=idx), np.array(cols, dtype=idx))
+    counts = sp.csc_array((vals, coords), shape=(len(vocab), len(texts)), dtype=float)
     counts.sort_indices()
     return _weight(counts, weighting), vocab
 

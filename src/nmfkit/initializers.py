@@ -14,7 +14,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CostWarning, DimensionMismatch, PTooLarge, ResourceLimit
-from .linalg import centroid_decomposition, spherical_kmeans, truncated_svd
+from .linalg import (
+    centroid_decomposition,
+    cluster_centroids,
+    column_norms,
+    spherical_kmeans,
+    truncated_svd,
+)
 
 STRATEGY_NAMES = ("random", "centroid", "svd-centroid", "acol", "random-c", "cooccurrence")
 
@@ -46,21 +52,33 @@ def init_random(m: int, k: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).random((m, k))
 
 
-def _average_columns(A: sp.csc_array, cols: np.ndarray) -> np.ndarray:
-    return np.asarray(A[:, cols].sum(axis=1)).ravel() / len(cols)
+def _draw_averages(A, k: int, p: int, pool: np.ndarray, seed) -> np.ndarray:
+    """W (m x k) whose column j averages the A columns pool[S_j], S_j a random p-subset.
+
+    A subset equal (as a set) to an earlier one is redrawn, until all
+    C(len(pool), p) subsets have been drawn.
+    """
+    rng = np.random.default_rng(seed)
+    W = np.empty((A.shape[0], k))
+    seen, distinct = set(), math.comb(len(pool), p)
+    for j in range(k):
+        cols = rng.choice(len(pool), size=p, replace=False)
+        while (key := frozenset(cols.tolist())) in seen and len(seen) < distinct:
+            cols = rng.choice(len(pool), size=p, replace=False)
+        seen.add(key)
+        W[:, j] = np.asarray(A[:, pool[cols]].sum(axis=1)).ravel() / p
+    return W
 
 
-def init_random_acol(A, k: int, p: int = 20, seed: int = 0) -> np.ndarray:
-    """Each W column = average of p data columns drawn without replacement."""
-    A = sp.csc_array(A)
-    m, n = A.shape
+def init_random_acol(A, k: int, p: int = 20, seed=0) -> np.ndarray:
+    """Each W column = average of p data columns drawn without replacement.
+
+    seed may be a numpy Generator, which the draws then advance.
+    """
+    n = A.shape[1]
     if p > n:
         raise PTooLarge(f"p={p} exceeds the {n} columns of A")
-    rng = np.random.default_rng(seed)
-    W = np.empty((m, k))
-    for j in range(k):
-        W[:, j] = _average_columns(A, rng.choice(n, size=p, replace=False))
-    return W
+    return _draw_averages(A, k, p, np.arange(n), seed)
 
 
 def init_random_c(
@@ -71,18 +89,12 @@ def init_random_c(
     The candidate pool is the top ceil(candidate_fraction * n) columns by
     2-norm; norm ties break toward the lower column index.
     """
-    A = sp.csc_array(A)
-    m, n = A.shape
-    norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=0)).ravel())
+    n = A.shape[1]
     pool_size = max(1, math.ceil(candidate_fraction * n))
-    pool = np.argsort(-norms, kind="stable")[:pool_size]
+    pool = np.argsort(-column_norms(A), kind="stable")[:pool_size]
     if p > pool_size:
         raise PTooLarge(f"p={p} exceeds the candidate pool of {pool_size} columns")
-    rng = np.random.default_rng(seed)
-    W = np.empty((m, k))
-    for j in range(k):
-        W[:, j] = _average_columns(A, pool[rng.choice(pool_size, size=p, replace=False)])
-    return W
+    return _draw_averages(A, k, p, pool, seed)
 
 
 def init_centroid(A, k: int, seed: int = 0) -> np.ndarray:
@@ -93,31 +105,21 @@ def init_centroid(A, k: int, seed: int = 0) -> np.ndarray:
 def init_svd_centroid(A, V: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Cluster the n rows of the SVD factor V, then average A's columns per cluster.
 
-    Much cheaper than clustering A itself because V is only n x k. Each W
-    column is the unit-normalized average of the documents in one cluster.
+    Clusters k-dimensional points instead of A's m-dimensional columns. Each
+    W column is the unit-normalized average of the documents in one cluster.
     """
-    A = sp.csc_array(A)
-    m, n = A.shape
+    n = A.shape[1]
     V = np.asarray(V, dtype=float)
     if V.shape[0] != n:
         raise DimensionMismatch(f"V has {V.shape[0]} rows but A has {n} columns")
     if V.shape[1] != k:
         raise DimensionMismatch(f"V has {V.shape[1]} columns but k={k}")
     points = V.T  # rows of V as column points, k x n
-    norms = np.linalg.norm(points, axis=0)
-    keep = np.flatnonzero(norms > 0)
+    keep = np.flatnonzero(np.linalg.norm(points, axis=0) > 0)
     _, assign_kept = spherical_kmeans(points[:, keep], k, seed=seed)
-    assign = np.full(n, -1, dtype=int)
+    assign = np.full(n, -1)
     assign[keep] = assign_kept
-    W = np.zeros((m, k))
-    for c in range(k):
-        members = np.flatnonzero(assign == c)
-        if members.size == 0:
-            continue
-        col = _average_columns(A, members)
-        nrm = np.linalg.norm(col)
-        W[:, c] = col / nrm if nrm > 0 else col
-    return W
+    return cluster_centroids(A, assign, k)
 
 
 def init_cooccurrence(A, k: int, seed: int = 0) -> np.ndarray:

@@ -129,14 +129,30 @@ def normalize_columns(X: np.ndarray) -> np.ndarray:
     return X / np.where(norms > 0, norms, 1.0)
 
 
+def column_norms(X) -> np.ndarray:
+    """2-norms of the columns of a dense or sparse X."""
+    if sp.issparse(X):
+        return np.sqrt(np.asarray(X.power(2).sum(axis=0)).ravel())
+    return np.linalg.norm(X, axis=0)
+
+
+def cluster_centroids(X, assign: np.ndarray, k: int) -> np.ndarray:
+    """Unit-normalized sums of X's columns per cluster (dims x k), by one product X @ onehot.
+
+    assign[j] = -1 leaves column j in no cluster; an empty cluster gives a zero column.
+    """
+    onehot = np.equal.outer(assign, np.arange(k)).astype(float)
+    return normalize_columns(np.asarray(X @ onehot))
+
+
 def spherical_kmeans(
-    X: np.ndarray,
+    X,
     k: int,
     seed: int = 0,
     max_iter: int = 100,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster the columns of X on cosine similarity.
+    """Cluster the columns of a dense or sparse X on cosine similarity.
 
     Returns (centroids dims x k, assignment length ncols). Columns must be
     nonzero; empty clusters are re-seeded with the column farthest from its
@@ -145,26 +161,22 @@ def spherical_kmeans(
     dims, ncols = X.shape
     if k > ncols:
         raise DegenerateInput(f"k={k} exceeds the {ncols} available columns")
-    Xn = normalize_columns(X)
+    norms = column_norms(X)
+    Xn = X @ sp.diags_array(1.0 / norms) if sp.issparse(X) else X / norms
+    XnT = Xn.T  # one transposed view, not one per iteration
     rng = np.random.default_rng(seed)
-    centroids = Xn[:, rng.choice(ncols, size=k, replace=False)].copy()
-    assign = np.zeros(ncols, dtype=int)
+    assign = np.full(ncols, -1)
+    assign[rng.choice(ncols, size=k, replace=False)] = np.arange(k)
+    centroids = cluster_centroids(Xn, assign, k)
     for _ in range(max_iter):
-        sims = centroids.T @ Xn  # k x ncols
-        assign = np.argmax(sims, axis=0)
-        own_sim = sims[assign, np.arange(ncols)]
-        new_centroids = np.zeros_like(centroids)
-        for c in range(k):
-            members = assign == c
-            if not members.any():
-                worst = int(np.argmin(own_sim))
-                new_centroids[:, c] = Xn[:, worst]
-                assign[worst] = c
-                own_sim[worst] = 1.0
-                continue
-            mean = Xn[:, members].mean(axis=1)
-            nrm = np.linalg.norm(mean)
-            new_centroids[:, c] = mean / nrm if nrm > 0 else Xn[:, np.argmax(members)]
+        sims = np.asarray(XnT @ centroids)  # ncols x k
+        assign = np.argmax(sims, axis=1)
+        own_sim = sims[np.arange(ncols), assign]
+        for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
+            worst = int(np.argmin(own_sim))
+            assign[worst] = c
+            own_sim[worst] = 1.0
+        new_centroids = cluster_centroids(Xn, assign, k)
         movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=0)))
         centroids = new_centroids
         if movement < tol:
@@ -175,16 +187,15 @@ def spherical_kmeans(
 def centroid_decomposition(M, k: int, seed: int = 0) -> np.ndarray:
     """k centroid vectors (dims x k) of M's columns via spherical k-means.
 
-    Zero columns are excluded from clustering; if fewer than k nonzero
-    columns remain the input is degenerate. Nonnegative input yields
-    nonnegative centroids.
+    A sparse M stays sparse and is never modified. Zero columns are excluded
+    from clustering; if fewer than k nonzero columns remain the input is
+    degenerate. Nonnegative input yields nonnegative centroids.
     """
-    X = np.asarray(M.todense() if sp.issparse(M) else M, dtype=float)
-    norms = np.linalg.norm(X, axis=0)
-    keep = norms > 0
+    X = M if sp.issparse(M) else np.asarray(M, dtype=float)
+    keep = column_norms(X) > 0
     if int(keep.sum()) < k:
         raise DegenerateInput(
             f"only {int(keep.sum())} nonzero columns available for k={k} clusters"
         )
-    centroids, _ = spherical_kmeans(X[:, keep], k, seed=seed)
+    centroids, _ = spherical_kmeans(X if keep.all() else X[:, keep], k, seed=seed)
     return centroids

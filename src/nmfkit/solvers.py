@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,13 +22,12 @@ from .convergence import (
     Checkpoint,
     ConvergenceTrace,
     Criterion,
-    FrobeniusTol,
     MaxIterOnly,
     angular_measure,
     should_stop,
 )
 from .errors import DegenerateInput, InvalidConfig, InvalidRank, ZeroVector
-from .initializers import InitStrategy, initialize
+from .initializers import InitStrategy, init_random_acol, initialize
 from .linalg import gram, residual_trace, solve_spd_ridged, trace_frob_sq
 
 ALGORITHMS = ("acls", "ahcls", "mu", "gdcls")
@@ -85,10 +83,6 @@ class SolverConfig:
             raise InvalidConfig("alpha_w and alpha_h must lie in [0, 1]")
         if self.check_interval < 1:
             raise InvalidConfig("check_interval must be >= 1")
-        if self.algorithm == "ahcls" and max(self.lambda_w, self.lambda_h) > 1:
-            warnings.warn(
-                "AHCLS works best with lambda_w, lambda_h <= 1", UserWarning, stacklevel=2
-            )
 
 
 @dataclass
@@ -130,15 +124,10 @@ def _repair_zero_rows(H: np.ndarray, rng: np.random.Generator) -> None:
 
 
 def _repair_zero_cols(W: np.ndarray, A, rng: np.random.Generator) -> None:
-    """Replace all-zero W columns with a fresh random-Acol draw (A @ indicator: O(nnz) on CSR)."""
+    """Replace all-zero W columns with a fresh random-Acol draw from rng."""
     dead = np.flatnonzero(~W.any(axis=0))
     if dead.size:
-        n = A.shape[1]
-        p = min(20, n)
-        for j in dead:
-            indicator = np.zeros(n)
-            indicator[rng.choice(n, size=p, replace=False)] = 1.0
-            W[:, j] = A @ indicator / p
+        W[:, dead] = init_random_acol(A, dead.size, p=min(20, A.shape[1]), seed=rng)
 
 
 class _Penalty(NamedTuple):
@@ -340,10 +329,7 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
     else:
         W = initialize(A, config.k, init)
     A = sp.csr_array(A)
-    criterion = config.criterion
     trace_ata = trace_frob_sq(A)
-    if isinstance(criterion, FrobeniusTol) and criterion.eps_f is None:
-        criterion = FrobeniusTol(eps_f=1e-4 * math.sqrt(trace_ata))
     byproducts = {}
     H = _initial_h(A, W, config, rng, byproducts)
 
@@ -381,7 +367,7 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
             )
         )
         if it >= config.burn_in:
-            reason = should_stop(criterion, trace, thetas)
+            reason = should_stop(config.criterion, trace, thetas)
             if reason is not None:
                 termination = reason
                 iterations_run = it

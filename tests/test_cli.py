@@ -174,7 +174,7 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("conv", ["bogus", "frob:abc", "angular:95", "angular:0"])
+@pytest.mark.parametrize("conv", ["bogus", "frob", "frob:abc", "angular:95", "angular:0"])
 def test_malformed_conv_is_usage_error(conv, matrix_path, capsys):
     assert main(["factorize", "--matrix", str(matrix_path), "--k", "2", "--conv", conv]) == 2
     err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from nmfkit.corpus import (
     DEFAULT_STOPWORDS,
+    WEIGHTINGS,
     Vocabulary,
     build_matrix_from_texts,
     mini_corpus,
@@ -140,6 +141,12 @@ class TestMiniCorpus:
         assert A1.shape == (len(vocab1), 60)
         assert vocab1.terms == vocab2.terms
         assert np.array_equal(A1.todense(), A2.todense())
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_32_bit_indices(self, weighting):
+        # 4 bytes less per nonzero in every copy the solver and the initializers make
+        A, _ = mini_matrix(weighting)
+        assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
 
     def test_topic_words_present(self):
         _, vocab = mini_matrix()

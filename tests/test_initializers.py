@@ -1,4 +1,4 @@
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.optimize import nnls
 
 from helpers import rand_sparse
+from nmfkit.corpus import WEIGHTINGS, mini_matrix
 from nmfkit.errors import CostWarning, PTooLarge
 from nmfkit.initializers import (
     STRATEGY_NAMES,
@@ -107,6 +108,21 @@ class TestRandomC:
             init_random_c(A, 4, p=3, seed=9), init_random_c(A, 4, p=3, seed=9)
         )
 
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_distinct_subsets_give_distinct_columns(self, weighting):
+        # a pool of 12 columns with p=3 has 220 subsets, so k=8 draws need not repeat;
+        # these seeds each drew one subset twice before repeated subsets were redrawn
+        A, _ = mini_matrix(weighting)
+        for seed in [*range(321, 331), 1941]:
+            W = init_random_c(A, 8, p=3, seed=seed)
+            assert len({tuple(col) for col in W.T}) == 8
+
+    def test_repeats_allowed_once_every_subset_is_drawn(self):
+        # a pool of 3 columns with p=2 has only 3 subsets: k=5 must repeat, and terminate
+        A = rand_sparse(8, 15, density=0.8, seed=6)
+        W = init_random_c(A, 5, p=2, seed=0)
+        assert len({tuple(col) for col in W.T}) == 3
+
 
 class TestCentroid:
     def test_orthogonal_columns_recovered(self):
@@ -152,19 +168,6 @@ class TestSvdCentroid:
         sims = W.T @ dense[:, 0] / np.linalg.norm(dense[:, 0])
         assert sims.max() > 0.9
 
-    def test_runtime_beats_full_centroid(self):
-        # clustering k-dimensional embeddings instead of m-dimensional
-        # documents: at least 10x faster on a wide corpus
-        A = rand_sparse(6000, 2000, density=0.005, seed=10)
-        V = truncated_svd(A, 10, seed=0).V
-        t0 = time.perf_counter()
-        init_centroid(A, 10, seed=0)
-        t_full = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        init_svd_centroid(A, V, 10, seed=0)
-        t_svd = time.perf_counter() - t0
-        assert t_full >= 10 * t_svd
-
 
 class TestCooccurrence:
     def test_shape_and_nonneg(self):
@@ -201,3 +204,35 @@ class TestDispatcher:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             InitStrategy(name="bogus")
+
+
+class TestMemoryAndInputs:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return rand_sparse(6000, 2000, density=0.005, seed=10)
+
+    @pytest.mark.parametrize("name", ["centroid", "svd-centroid", "acol", "random-c", "cooccurrence"])
+    def test_peak_scales_with_nnz_not_mn(self, wide, name):
+        # u = one 64-bit-index copy of A plus one (m+n) x k float array; the co-occurrence
+        # initializer may also hold three copies of A A^T. A dense m x n copy of A is 200u.
+        (m, n), k = wide.shape, 10
+        u = 16 * wide.nnz + 8 * (m + n) * k
+        bound = 4 * u + (3 * 16 * (wide @ wide.T).nnz if name == "cooccurrence" else 0)
+        tracemalloc.start()
+        try:
+            initialize(wide, k, InitStrategy(name=name, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_input_matrix_untouched(self, name):
+        # a zero column and explicitly stored zeros exercise the column filtering
+        A = rand_sparse(20, 30, density=0.4, seed=15)
+        A.data[:5] = 0.0
+        A.data[A.indptr[3] : A.indptr[4]] = 0.0
+        before = [A.data.copy(), A.indices.copy(), A.indptr.copy()]
+        initialize(A, 4, InitStrategy(name=name, p=3, seed=0))
+        for got, want in zip((A.data, A.indices, A.indptr), before):
+            assert np.array_equal(got, want)

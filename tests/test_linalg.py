@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import rand_sparse, spd_matrix
+from nmfkit.corpus import WEIGHTINGS, mini_matrix
 from nmfkit.errors import DegenerateInput, DimensionMismatch, RankTooLarge, SingularSystem
 from nmfkit.linalg import (
     centroid_decomposition,
+    cluster_centroids,
     gram,
     residual_trace,
     solve_spd_multi,
@@ -224,6 +226,31 @@ class TestCentroidDecomposition:
         centroids, labels = spherical_kmeans(X, 2, seed=0)
         assert set(labels) == {0, 1}
         assert np.all(np.linalg.norm(centroids, axis=0) > 0)
+
+
+class TestSparseKmeans:
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_sparse_assignment_equals_dense(self, weighting):
+        A, _ = mini_matrix(weighting)
+        dense = A.toarray()
+        for seed in range(5):
+            C_sparse, a_sparse = spherical_kmeans(A, 8, seed=seed)
+            C_dense, a_dense = spherical_kmeans(dense, 8, seed=seed)
+            assert np.array_equal(a_sparse, a_dense)
+            assert np.allclose(C_sparse, C_dense, rtol=0, atol=1e-12)
+
+    def test_cluster_centroids_match_per_cluster_average(self):
+        # oracle: one normalized mean per cluster by boolean masks; -1 joins no cluster
+        A = rand_sparse(12, 20, density=0.5, seed=4)
+        assign = np.random.default_rng(5).integers(-1, 4, size=20)
+        assign[assign == 2] = 1  # cluster 2 stays empty
+        W = cluster_centroids(A, assign, 4)
+        dense = A.toarray()
+        for c in range(4):
+            mean = dense[:, assign == c].sum(axis=1)
+            nrm = np.linalg.norm(mean)
+            assert np.allclose(W[:, c], mean / nrm if nrm else mean, rtol=0, atol=1e-14)
+        assert not W[:, 2].any()
 
 
 class TestSphericalKmeansOracle:

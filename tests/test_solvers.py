@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 from helpers import planted_instance, rand_sparse
 from nmfkit.convergence import AngularTol, MaxIterOnly
 from nmfkit.corpus import mini_matrix
-from nmfkit.errors import DegenerateInput, InvalidRank, ZeroVector
-from nmfkit.initializers import InitStrategy
+from nmfkit.errors import DegenerateInput, InvalidRank, NmfError, ZeroVector
+from nmfkit.initializers import STRATEGY_NAMES, InitStrategy
 from nmfkit.solvers import (
+    ALGORITHMS,
     SolverConfig,
     _repair_zero_cols,
     acls_step,
@@ -314,10 +315,6 @@ class TestSolve:
         objs = [cp.objective_sq for cp in result.trace.checkpoints]
         assert objs[-1] < 0.05 * objs[0]
 
-    def test_ahcls_lambda_warning(self):
-        with pytest.warns(UserWarning):
-            SolverConfig(k=3, algorithm="ahcls", lambda_h=5.0)
-
 
 class TestSolveInvariants:
     @pytest.mark.parametrize("algorithm", ["acls", "ahcls", "mu", "gdcls"])
@@ -404,3 +401,36 @@ def test_pinned_final_objective(algorithm):
     assert result.trace.checkpoints[-1].objective_sq == pytest.approx(
         PINNED_OBJECTIVES[algorithm], rel=1e-9
     )
+
+
+@st.composite
+def _small_problem(draw):
+    """A small nonnegative sparse matrix (zero rows and columns likely), a rank and an init p."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+    A = sp.csc_array(draw(arrays(np.float64, (m, n), elements=entries)))
+    return A, draw(st.integers(1, min(m, n))), draw(st.integers(1, n))
+
+
+@given(
+    _small_problem(),
+    st.sampled_from(ALGORITHMS),
+    st.sampled_from(STRATEGY_NAMES),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_combination_finishes_or_raises_typed(problem, algorithm, init, lam, seed):
+    # the README's contract: finite nonnegative factors, or a typed NmfError
+    A, k, p = problem
+    config = SolverConfig(
+        k=k, algorithm=algorithm, lambda_w=lam, lambda_h=lam, max_iter=15, seed=seed,
+        criterion=AngularTol(eps_deg=1.0),
+    )
+    try:
+        result = solve(A, config, InitStrategy(name=init, p=p, seed=seed))
+    except NmfError:
+        return
+    W, H = result.factors.W, result.factors.H
+    assert np.isfinite(W).all() and np.isfinite(H).all()
+    assert W.min() >= 0.0 and H.min() >= 0.0
