@@ -25,6 +25,7 @@ from .linalg import (
 STRATEGY_NAMES = ("random", "centroid", "svd-centroid", "acol", "random-c", "cooccurrence")
 
 _COOCCURRENCE_WARN_ROWS = 10_000
+_AVERAGES_PER_PRODUCT = 8
 
 
 @dataclass
@@ -56,17 +57,32 @@ def _draw_averages(A, k: int, p: int, pool: np.ndarray, seed) -> np.ndarray:
     """W (m x k) whose column j averages the A columns pool[S_j], S_j a random p-subset.
 
     A subset equal (as a set) to an earlier one is redrawn, until all
-    C(len(pool), p) subsets have been drawn.
+    C(len(pool), p) subsets have been drawn. The averages are the product
+    A @ S with the n x k selection matrix S (1/p at row pool[S_j] of column j).
     """
+    m, n = A.shape
     rng = np.random.default_rng(seed)
-    W = np.empty((A.shape[0], k))
+    # 32-bit indices, so that the product does not copy A's 32-bit indices to 64 bits
+    picks = np.empty((k, p), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     seen, distinct = set(), math.comb(len(pool), p)
     for j in range(k):
         cols = rng.choice(len(pool), size=p, replace=False)
         while (key := frozenset(cols.tolist())) in seen and len(seen) < distinct:
             cols = rng.choice(len(pool), size=p, replace=False)
         seen.add(key)
-        W[:, j] = np.asarray(A[:, pool[cols]].sum(axis=1)).ravel() / p
+        picks[j] = pool[cols]
+    S = sp.csc_array(
+        (np.full(k * p, 1.0 / p), picks.ravel(), np.arange(0, k * p + 1, p, dtype=picks.dtype)),
+        shape=(n, k),
+    )
+    A = A if sp.issparse(A) else sp.csc_array(A)
+    # one product for all k columns would hold its sparse result beside W, about a
+    # third of W's size on term-document data; a few columns at a time, written
+    # straight into W's columns, hold a fraction of that
+    W = np.empty((m, k), order="F")
+    for j in range(0, k, _AVERAGES_PER_PRODUCT):
+        cols = slice(j, j + _AVERAGES_PER_PRODUCT)
+        (A @ S[:, cols]).toarray(out=W[:, cols])
     return W
 
 

@@ -10,7 +10,10 @@ convergence evaluation, and a terminal KKT stationarity check.
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,11 +31,26 @@ from .convergence import (
 )
 from .errors import DegenerateInput, InvalidConfig, InvalidRank, ZeroVector
 from .initializers import InitStrategy, init_random_acol, initialize
-from .linalg import gram, residual_trace, solve_spd_ridged, trace_frob_sq
+from .linalg import (
+    blas_threads,
+    gram,
+    residual_trace,
+    row_blocks,
+    set_blas_threads,
+    solve_spd_ridged,
+    trace_frob_sq,
+    transpose_view,
+)
 
 ALGORITHMS = ("acls", "ahcls", "mu", "gdcls")
 
 _MU_EPS = 1e-9
+
+# A is split into _ROW_BLOCKS row blocks only when each gets at least _BLOCK_MIN_NNZ
+# nonzeros on average. The rule reads nnz(A), never the core count, so the summation
+# order of W^T A, and with it every result, is the same on every machine.
+_ROW_BLOCKS = 4
+_BLOCK_MIN_NNZ = 32768
 
 
 def sparsity_hoyer(x) -> float:
@@ -206,17 +224,72 @@ def _half_w(A, W, HHt, AHt, pen: _Penalty, rng) -> np.ndarray:
     return W
 
 
-def _sweep(A, W, H, pens: tuple[_Penalty, _Penalty], rng, byproducts) -> tuple[np.ndarray, np.ndarray]:
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _RowBlocks:
+    """A's nnz-balanced row blocks and the solve's thread pool that runs their products.
+
+    scipy's CSR x dense kernels release the GIL, so the blocks' products run
+    in parallel. The workers call nothing of this package.
+    """
+
+    def __init__(self, A: sp.csr_array):
+        self.blocks = row_blocks(A, _ROW_BLOCKS)
+        self.transposed = [transpose_view(b) for b in self.blocks]
+        self.rows = np.cumsum([0] + [b.shape[0] for b in self.blocks]).tolist()
+        self.workers = _cpu_count()
+        self.pool = ThreadPoolExecutor(self.workers)
+
+    def wta(self, W: np.ndarray) -> np.ndarray:
+        """W^T A: the blocks' k x n partial products, summed in block order.
+
+        A block is submitted only once the partial `workers` blocks before it
+        has been summed, so at most `workers` partials are held at a time.
+        """
+        rows, count = self.rows, len(self.blocks)
+
+        def partial(i):
+            return (self.transposed[i] @ W[rows[i] : rows[i + 1]]).T
+
+        ahead = deque(self.pool.submit(partial, i) for i in range(min(self.workers, count)))
+        total = ahead.popleft().result()
+        for i in range(1, count):
+            if i - 1 + self.workers < count:
+                ahead.append(self.pool.submit(partial, i - 1 + self.workers))
+            total += ahead.popleft().result()
+        return total
+
+    def aht(self, H: np.ndarray) -> np.ndarray:
+        """A H^T: each block fills its own rows, so the result equals the serial product bit for bit."""
+        HT, rows = np.ascontiguousarray(H.T), self.rows
+        out = np.empty((rows[-1], HT.shape[1]))
+
+        def fill(i):
+            out[rows[i] : rows[i + 1]] = self.blocks[i] @ HT
+
+        list(self.pool.map(fill, range(len(rows) - 1)))  # reading each result re-raises a worker's error
+        return out
+
+
+def _sweep(
+    A, W, H, pens: tuple[_Penalty, _Penalty], rng, byproducts, blocks: _RowBlocks | None
+) -> tuple[np.ndarray, np.ndarray]:
     """One alternating sweep: the H half-step from W, then the W half-step from the new H.
 
     Returns a new W and H, leaving the arguments as they were. A byproducts
     dict receives the W half-step's HHt and AHt, enough for the residual.
+    Given A's row blocks, the two sparse products run on them.
     """
     pen_w, pen_h = pens
     if rng is None and not (pen_w.multiplicative and pen_h.multiplicative):
         rng = np.random.default_rng(0)
-    H = _half_h(H, gram(W), np.asarray(W.T @ A), pen_h, rng)
-    HHt, AHt = gram(H.T), np.asarray(A @ H.T)  # m x k without densifying A
+    WtA = np.asarray(W.T @ A) if blocks is None else blocks.wta(W)
+    H = _half_h(H, gram(W), WtA, pen_h, rng)
+    del WtA
+    HHt = gram(H.T)
+    AHt = np.asarray(A @ H.T) if blocks is None else blocks.aht(H)  # m x k without densifying A
     W = _half_w(A, W, HHt, AHt, pen_w, rng)
     if byproducts is not None:
         byproducts.update(HHt=HHt, AHt=AHt)
@@ -224,45 +297,52 @@ def _sweep(A, W, H, pens: tuple[_Penalty, _Penalty], rng, byproducts) -> tuple[n
 
 
 def acls_step(
-    A, W, lambda_w: float, lambda_h: float, rng=None, *, byproducts=None
+    A, W, lambda_w: float, lambda_h: float, rng=None, *, byproducts=None, blocks=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One ACLS sweep: ridge-penalized CLS for H, then for W, clipping each."""
-    return _sweep(A, W, None, _penalties("acls", W.shape[1], lambda_w, lambda_h), rng, byproducts)
+    pens = _penalties("acls", W.shape[1], lambda_w, lambda_h)
+    return _sweep(A, W, None, pens, rng, byproducts, blocks)
 
 
 def ahcls_step(
     A, W, lambda_w: float, lambda_h: float, alpha_w: float, alpha_h: float, rng=None,
-    *, byproducts=None,
+    *, byproducts=None, blocks=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One AHCLS sweep with Hoyer-targeted ridge beta and all-ones subtraction."""
     pens = _penalties("ahcls", W.shape[1], lambda_w, lambda_h, alpha_w, alpha_h)
-    return _sweep(A, W, None, pens, rng, byproducts)
+    return _sweep(A, W, None, pens, rng, byproducts, blocks)
 
 
-def mu_step(A, W, H, *, byproducts=None) -> tuple[np.ndarray, np.ndarray]:
+def mu_step(A, W, H, *, byproducts=None, blocks=None) -> tuple[np.ndarray, np.ndarray]:
     """One Lee-Seung multiplicative-update sweep (mean-squared-error form).
 
     Zero entries stay zero (the locking property); the epsilon floor only
     guards denominators.
     """
-    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None, byproducts)
+    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None, byproducts, blocks)
 
 
-def gdcls_step(A, W, H, lambda_h: float, rng=None, *, byproducts=None) -> tuple[np.ndarray, np.ndarray]:
+def gdcls_step(
+    A, W, H, lambda_h: float, rng=None, *, byproducts=None, blocks=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Hybrid step: CLS matrix solve for H (as ACLS), multiplicative update for W."""
-    return _sweep(A, W, H, _penalties("gdcls", W.shape[1], lambda_h=lambda_h), rng, byproducts)
+    pens = _penalties("gdcls", W.shape[1], lambda_h=lambda_h)
+    return _sweep(A, W, H, pens, rng, byproducts, blocks)
 
 
-def _run_step(A, W, H, c: SolverConfig, rng, byproducts=None) -> tuple[np.ndarray, np.ndarray]:
+def _run_step(
+    A, W, H, c: SolverConfig, rng, byproducts=None, blocks=None
+) -> tuple[np.ndarray, np.ndarray]:
     if c.algorithm == "acls":
-        return acls_step(A, W, c.lambda_w, c.lambda_h, rng=rng, byproducts=byproducts)
+        return acls_step(A, W, c.lambda_w, c.lambda_h, rng=rng, byproducts=byproducts, blocks=blocks)
     if c.algorithm == "ahcls":
         return ahcls_step(
-            A, W, c.lambda_w, c.lambda_h, c.alpha_w, c.alpha_h, rng=rng, byproducts=byproducts
+            A, W, c.lambda_w, c.lambda_h, c.alpha_w, c.alpha_h, rng=rng,
+            byproducts=byproducts, blocks=blocks,
         )
     if c.algorithm == "mu":
-        return mu_step(A, W, H, byproducts=byproducts)
-    return gdcls_step(A, W, H, c.lambda_h, rng=rng, byproducts=byproducts)
+        return mu_step(A, W, H, byproducts=byproducts, blocks=blocks)
+    return gdcls_step(A, W, H, c.lambda_h, rng=rng, byproducts=byproducts, blocks=blocks)
 
 
 def _penalty_value(X, pen: _Penalty) -> float:
@@ -288,23 +368,31 @@ def _kkt_residual(X, G, B, pen: _Penalty) -> float:
 
 
 def stationarity_check(
-    A, W, H, tol: float = 1e-6, config: SolverConfig | None = None
+    A, W, H, tol: float = 1e-6, config: SolverConfig | None = None, *, byproducts=None, blocks=None
 ) -> StationarityReport:
     """Projected-gradient KKT residual min(X, grad f) for both factors.
 
     The gradient matches the actually-optimized objective: penalty terms
-    are included when a config is supplied.
+    are included when a config is supplied. A byproducts dict holding the
+    HHt and AHt of the sweep that produced H saves recomputing them; they
+    are popped from it, so they are freed once used. blocks are A's row blocks.
     """
     pen_w, pen_h = _config_penalties(config)
-    res_h = _kkt_residual(H.T, gram(W), np.asarray(A.T @ W), pen_h)
-    res_w = _kkt_residual(W, gram(H.T), np.asarray(A @ H.T), pen_w)
+    if byproducts is None:
+        res_w = _kkt_residual(W, gram(H.T), np.asarray(A @ H.T), pen_w)
+    else:
+        res_w = _kkt_residual(W, byproducts.pop("HHt"), byproducts.pop("AHt"), pen_w)
+    AtW = np.asarray(A.T @ W) if blocks is None else blocks.wta(W).T
+    res_h = _kkt_residual(H.T, gram(W), AtW, pen_h)
     return StationarityReport(res_w, res_h, tol, passed=max(res_w, res_h) <= tol)
 
 
-def _initial_h(A, W, config: SolverConfig, rng, byproducts: dict | None = None) -> np.ndarray:
+def _initial_h(
+    A, W, config: SolverConfig, rng, byproducts: dict | None = None, blocks=None
+) -> np.ndarray:
     """H^(0) by one CLS-and-clip step from W^(0), also for an MU H; byproducts receives WtW, WtA."""
     pen_h = _config_penalties(config)[1]._replace(multiplicative=False)
-    WtW, WtA = gram(W), np.asarray(W.T @ A)
+    WtW, WtA = gram(W), np.asarray(W.T @ A) if blocks is None else blocks.wta(W)
     if byproducts is not None:
         byproducts.update(WtW=WtW, WtA=WtA)
     return _half_h(None, WtW, WtA, pen_h, rng)
@@ -317,63 +405,81 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
     final iteration); early stopping only engages past burn_in. The trace
     always contains the iteration-0 checkpoint. The initializer sees A as
     given; the iterations use one CSR copy of it (none if A is CSR already).
+
+    The solve runs under one thread budget. Both bundled OpenBLAS copies are
+    held at one thread, a process-global setting that is restored when solve
+    returns or raises; where the copies cannot be controlled, BLAS is left as
+    it is. A with at least 4 x 32768 nonzeros is cut into 4 row blocks whose
+    sparse products run on a pool of one thread per available core.
     """
     m, n = A.shape
     if config.k > min(m, n):
         raise InvalidRank(f"k={config.k} exceeds min{A.shape}={min(m, n)}")
-    rng = np.random.default_rng(config.seed)
-    if isinstance(init, np.ndarray):
-        W = np.array(init, dtype=float, copy=True)
-        if W.shape != (m, config.k):
-            raise InvalidRank(f"supplied W0 has shape {W.shape}, expected {(m, config.k)}")
-    else:
-        W = initialize(A, config.k, init)
-    A = sp.csr_array(A)
-    trace_ata = trace_frob_sq(A)
-    byproducts = {}
-    H = _initial_h(A, W, config, rng, byproducts)
+    saved = blas_threads()
+    set_blas_threads((1,) * len(saved))
+    blocks = None
+    try:
+        rng = np.random.default_rng(config.seed)
+        if isinstance(init, np.ndarray):
+            W = np.array(init, dtype=float, copy=True)
+            if W.shape != (m, config.k):
+                raise InvalidRank(f"supplied W0 has shape {W.shape}, expected {(m, config.k)}")
+        else:
+            W = initialize(A, config.k, init)
+        A = sp.csr_array(A)
+        if A.nnz >= _ROW_BLOCKS * _BLOCK_MIN_NNZ:
+            blocks = _RowBlocks(A)
+        trace_ata = trace_frob_sq(A)
+        byproducts = {}
+        H = _initial_h(A, W, config, rng, byproducts, blocks)
 
-    t0 = time.perf_counter()
-    trace = ConvergenceTrace()
-    trace.append(
-        Checkpoint(
-            iteration=0,
-            objective_sq=residual_trace(A, W, H, byproducts["WtW"], byproducts["WtA"], trace_ata),
-            theta_max_deg=None,
-            elapsed_s=time.perf_counter() - t0,
-        )
-    )
-    del byproducts
-
-    termination = "maxiter"
-    iterations_run = config.max_iter
-    for it in range(1, config.max_iter + 1):
-        if it % config.check_interval and it != config.max_iter:
-            W, H = _run_step(A, W, H, config, rng)
-            continue
-        # steps return a new W, so W_prev holds the previous iterate without a copy
-        W_prev, byproducts = W, {}
-        W, H = _run_step(A, W, H, config, rng, byproducts)
-        thetas = angular_measure(W_prev, W)
-        del W_prev
-        obj = residual_trace(A.T, H.T, W.T, byproducts["HHt"], byproducts["AHt"].T, trace_ata)
-        del byproducts
+        t0 = time.perf_counter()
+        trace = ConvergenceTrace()
         trace.append(
             Checkpoint(
-                iteration=it,
-                objective_sq=obj,
-                theta_max_deg=float(np.max(thetas)),
+                iteration=0,
+                objective_sq=residual_trace(A, W, H, byproducts["WtW"], byproducts["WtA"], trace_ata),
+                theta_max_deg=None,
                 elapsed_s=time.perf_counter() - t0,
             )
         )
-        if it >= config.burn_in:
-            reason = should_stop(config.criterion, trace, thetas)
-            if reason is not None:
-                termination = reason
-                iterations_run = it
-                break
+        del byproducts
 
-    stationarity = stationarity_check(A, W, H, config=config)
+        termination = "maxiter"
+        iterations_run = config.max_iter
+        for it in range(1, config.max_iter + 1):
+            if it % config.check_interval and it != config.max_iter:
+                W, H = _run_step(A, W, H, config, rng, blocks=blocks)
+                continue
+            # steps return a new W, so W_prev holds the previous iterate without a copy
+            W_prev, byproducts = W, {}
+            W, H = _run_step(A, W, H, config, rng, byproducts, blocks)
+            thetas = angular_measure(W_prev, W)
+            del W_prev
+            obj = residual_trace(A.T, H.T, W.T, byproducts["HHt"], byproducts["AHt"].T, trace_ata)
+            trace.append(
+                Checkpoint(
+                    iteration=it,
+                    objective_sq=obj,
+                    theta_max_deg=float(np.max(thetas)),
+                    elapsed_s=time.perf_counter() - t0,
+                )
+            )
+            if it >= config.burn_in:
+                reason = should_stop(config.criterion, trace, thetas)
+                if reason is not None:
+                    termination = reason
+                    iterations_run = it
+                    break
+            if it < config.max_iter:
+                # the final iteration is a checkpoint, and its byproducts serve the KKT check
+                del byproducts
+
+        stationarity = stationarity_check(A, W, H, config=config, byproducts=byproducts, blocks=blocks)
+    finally:
+        set_blas_threads(saved)
+        if blocks is not None:
+            blocks.pool.shutdown()
     return SolveResult(
         factors=FactorPair(W=W, H=H, rank=config.k),
         trace=trace,

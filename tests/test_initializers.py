@@ -60,6 +60,18 @@ class TestRandomAcol:
             cols = rng.choice(9, size=4, replace=False)
             assert np.allclose(W[:, j], dense[:, cols].mean(axis=1), atol=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["csc", "csr", "dense"])
+    def test_known_samples_across_several_products(self, fmt):
+        # oracle: 19 columns take three 8-column selection products; 40 choose 5 makes a
+        # repeated subset (and so a redraw) practically impossible, so the replay holds
+        A = rand_sparse(30, 40, density=0.3, seed=5)
+        given = {"csc": A, "csr": sp.csr_array(A), "dense": A.toarray()}[fmt]
+        W = init_random_acol(given, 19, p=5, seed=8)
+        rng, dense = np.random.default_rng(8), A.toarray()
+        for j in range(19):
+            cols = rng.choice(40, size=5, replace=False)
+            assert np.allclose(W[:, j], dense[:, cols].mean(axis=1), rtol=1e-14, atol=0)
+
     def test_sparser_than_random(self):
         A = rand_sparse(60, 40, density=0.1, seed=4)
         W = init_random_acol(A, 5, p=3, seed=0)

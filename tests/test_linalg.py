@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,10 +14,12 @@ from nmfkit.linalg import (
     cluster_centroids,
     gram,
     residual_trace,
+    row_blocks,
     solve_spd_multi,
     solve_spd_ridged,
     spherical_kmeans,
     trace_frob_sq,
+    transpose_view,
     truncated_svd,
 )
 
@@ -67,6 +70,69 @@ class TestSolveSpdMulti:
         G = np.ones((3, 3))  # rank 1
         with pytest.raises(SingularSystem):
             solve_spd_multi(G, np.eye(3))
+
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_right_side_solves_match_cho_solve(self, order):
+        # oracle: LAPACK's left-side potrs on the same factor
+        rng = np.random.default_rng(4)
+        G = spd_matrix(12, seed=5)
+        B = np.asarray(rng.random((12, 300)), order=order)
+        B0 = B.copy()
+        X = solve_spd_multi(G, B)
+        ref = cho_solve(cho_factor(G, lower=True), B)
+        assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(B, B0)  # the solve works on its own copy
+
+    def test_vector_right_hand_side(self):
+        G = spd_matrix(5, seed=6)
+        b = np.arange(5.0)
+        x = solve_spd_multi(G, b)
+        assert x.shape == (5,)
+        assert np.allclose(G @ x, b, rtol=1e-12)
+
+
+class TestRowBlocks:
+    @staticmethod
+    def _with_empty_rows():
+        # rows 0-9 and 60-79 empty, and row 30 holds over a quarter of the nonzeros
+        rng = np.random.default_rng(7)
+        dense = rng.random((80, 50)) * (rng.random((80, 50)) < 0.1)
+        dense[:10] = dense[60:] = 0.0
+        dense[30] = rng.random(50) + 0.1
+        return sp.csr_array(dense)
+
+    def test_blocks_stack_back_to_a(self):
+        A = self._with_empty_rows()
+        blocks = row_blocks(A, 4)
+        assert len(blocks) == 4
+        assert all(sp.issparse(b) and b.format == "csr" for b in blocks)
+        assert np.array_equal(sp.vstack(blocks).toarray(), A.toarray())
+
+    def test_blocks_share_data_and_indices(self):
+        A = self._with_empty_rows()
+        for block in row_blocks(A, 4):
+            if block.nnz:
+                assert np.shares_memory(block.data, A.data)
+                assert np.shares_memory(block.indices, A.indices)
+                assert block.indptr.dtype == A.indices.dtype
+
+    def test_boundaries_depend_only_on_indptr(self):
+        A = rand_sparse(200, 30, density=0.2, seed=8).tocsr()
+        other = A.copy()
+        other.data = np.random.default_rng(9).random(other.nnz)
+        other.indices = np.random.default_rng(10).integers(0, 30, other.nnz).astype(A.indices.dtype)
+        shapes = [b.shape for b in row_blocks(A, 4)]
+        assert shapes == [b.shape for b in row_blocks(other, 4)]
+        nnz = [b.nnz for b in row_blocks(A, 4)]
+        assert sum(nnz) == A.nnz and max(nnz) - min(nnz) <= max(np.diff(A.indptr))
+
+    def test_transpose_view_shares_arrays(self):
+        block = row_blocks(self._with_empty_rows(), 4)[1]
+        T = transpose_view(block)
+        assert T.format == "csc" and T.shape == block.shape[::-1]
+        assert T.data is block.data and T.indices is block.indices
+        assert np.array_equal(T.toarray(), block.toarray().T)
 
 
 class TestResidualTrace:

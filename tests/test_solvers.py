@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,15 @@ from helpers import planted_instance, rand_sparse
 from nmfkit.convergence import AngularTol, MaxIterOnly
 from nmfkit.corpus import mini_matrix
 from nmfkit.errors import DegenerateInput, InvalidRank, NmfError, ZeroVector
+import nmfkit
+from nmfkit import solvers
 from nmfkit.initializers import STRATEGY_NAMES, InitStrategy
+from nmfkit.linalg import blas_threads, set_blas_threads
 from nmfkit.solvers import (
     ALGORITHMS,
     SolverConfig,
     _repair_zero_cols,
+    _RowBlocks,
     acls_step,
     ahcls_beta,
     ahcls_step,
@@ -366,12 +374,17 @@ class TestSolveInvariants:
             cols = rng.choice(30, size=20, replace=False)
             assert np.allclose(W[:, j], dense[:, cols].sum(axis=1) / 20, rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("algorithm", ["acls", "mu", "gdcls"])
-    def test_working_set_stays_within_nnz_plus_three_factor_copies(self, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm, density",
+        [pytest.param(a, 0.01, id=a) for a in ("acls", "mu", "gdcls")]
+        # 150k nonzeros: A is split into row blocks
+        + [pytest.param(a, 0.05, id=f"{a}-split") for a in ("acls", "mu", "gdcls")],
+    )
+    def test_working_set_stays_within_nnz_plus_three_factor_copies(self, algorithm, density):
         # memory must scale with nnz(A) + (m+n)k: one CSR copy of A (at most 16 bytes per
         # nonzero) plus at most three (m+n) x k float arrays of temporaries
         m, n, k = 3000, 1000, 20
-        A = sp.random(m, n, density=0.01, format="csc", random_state=np.random.default_rng(17))
+        A = sp.random(m, n, density=density, format="csc", random_state=np.random.default_rng(17))
         W0 = np.random.default_rng(18).random((m, k))
         config = SolverConfig(k=k, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=20)
         tracemalloc.start()
@@ -381,6 +394,141 @@ class TestSolveInvariants:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * A.nnz + 3 * 8 * (m + n) * k
+
+
+def _split_matrix():
+    """3000 x 1000 at 5%: 150k nonzeros, over the 4 x 32768 that splits A into row blocks."""
+    return sp.random(3000, 1000, density=0.05, format="csr", random_state=np.random.default_rng(19))
+
+
+class TestRowBlockProducts:
+    @pytest.mark.parametrize("empty_rows", [False, True])
+    def test_products_match_serial(self, empty_rows):
+        A = _split_matrix()
+        if empty_rows:
+            empty = sp.csr_array((500, 1000))
+            A = sp.csr_array(sp.vstack([empty, A[:1500], empty, empty[:200]]))
+        rng = np.random.default_rng(20)
+        W, H = rng.random((A.shape[0], 10)), rng.random((10, A.shape[1]))
+        blocks = _RowBlocks(A)
+        try:
+            # each block fills its own rows of A H^T, so the sums are the serial ones
+            assert np.array_equal(blocks.aht(H), A @ H.T)
+            assert np.array_equal(blocks.aht(np.asfortranarray(H)), A @ H.T)
+            ref = np.asarray(W.T @ A)
+            for W_any in (W, np.asfortranarray(W)):
+                assert np.abs(blocks.wta(W_any) - ref).max() <= 1e-13 * np.abs(ref).max()
+        finally:
+            blocks.pool.shutdown()
+
+    def test_products_hold_with_more_workers_than_cores(self, monkeypatch):
+        # workers write disjoint rows of one array; a lost or misplaced write breaks equality
+        monkeypatch.setattr(solvers, "_cpu_count", lambda: 8)
+        A = _split_matrix()
+        rng = np.random.default_rng(26)
+        W, H = rng.random((A.shape[0], 6)), rng.random((6, A.shape[1]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        blocks = _RowBlocks(A)
+        try:
+            wta = blocks.wta(W)
+            for _ in range(20):
+                assert np.array_equal(blocks.aht(H), A @ H.T)
+                assert np.array_equal(blocks.wta(W), wta)
+        finally:
+            blocks.pool.shutdown()
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_split_solve_matches_unsplit(self, algorithm, monkeypatch):
+        A = _split_matrix()
+        W0 = np.random.default_rng(21).random((A.shape[0], 8))
+        # lambda 0.01: at 0.1 and above AHCLS raises SingularSystem on this random matrix
+        config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.01, lambda_h=0.01, max_iter=12)
+        split = solve(A, config, W0)
+        monkeypatch.setattr(solvers, "_BLOCK_MIN_NNZ", A.nnz)
+        serial = solve(A, config, W0)
+        assert split.trace.checkpoints[-1].objective_sq == pytest.approx(
+            serial.trace.checkpoints[-1].objective_sq, rel=1e-12
+        )
+        assert np.allclose(split.factors.W, serial.factors.W, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_kkt_from_final_sweep_matches_recomputed(self, split):
+        A = _split_matrix() if split else rand_sparse(40, 30, density=0.3, seed=22)
+        config = SolverConfig(k=4, lambda_w=0.1, lambda_h=0.1, max_iter=7, check_interval=5)
+        result = solve(A, config, np.random.default_rng(23).random((A.shape[0], 4)))
+        report = stationarity_check(A, result.factors.W, result.factors.H, config=config)
+        assert result.stationarity.max_residual_w == pytest.approx(report.max_residual_w, rel=1e-12)
+        assert result.stationarity.max_residual_h == pytest.approx(report.max_residual_h, rel=1e-12)
+
+
+@pytest.mark.skipif(not blas_threads(), reason="the bundled OpenBLAS exports no thread-count controls")
+class TestThreadBudget:
+    @pytest.fixture
+    def two_blas_threads(self):
+        saved = blas_threads()
+        set_blas_threads((2,) * len(saved))
+        yield blas_threads()
+        set_blas_threads(saved)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_one_thread_inside_solve_and_restored_after(self, split, two_blas_threads, monkeypatch):
+        A = _split_matrix() if split else rand_sparse(40, 30, density=0.3, seed=24)
+        inside = []
+        initialize = solvers.initialize
+
+        def recording_initialize(*args):
+            inside.append(blas_threads())
+            return initialize(*args)
+
+        monkeypatch.setattr(solvers, "initialize", recording_initialize)
+        solve(A, SolverConfig(k=3, max_iter=6), InitStrategy(name="acol", p=5))
+        assert inside == [(1,) * len(two_blas_threads)]
+        assert blas_threads() == two_blas_threads
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_restored_after_a_raise(self, split, two_blas_threads, monkeypatch):
+        A = _split_matrix() if split else rand_sparse(40, 30, density=0.3, seed=24)
+
+        def fail(*args):
+            raise ZeroVector("raised mid-solve")
+
+        monkeypatch.setattr(solvers, "angular_measure", fail)
+        with pytest.raises(ZeroVector):
+            solve(A, SolverConfig(k=3, max_iter=6), InitStrategy(name="acol", p=5))
+        assert blas_threads() == two_blas_threads
+
+
+_THREAD_COUNT_SCRIPT = """
+import hashlib
+import numpy as np, scipy.sparse as sp
+from nmfkit.solvers import ALGORITHMS, SolverConfig, solve
+A = sp.random(3000, 1000, density=0.05, format="csc", random_state=np.random.default_rng(19))
+W0 = np.random.default_rng(25).random((3000, 8))
+for algorithm in ALGORITHMS:
+    config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.01, lambda_h=0.01, max_iter=12)
+    result = solve(A, config, W0)
+    factors = result.factors.W.tobytes() + result.factors.H.tobytes()
+    print(algorithm, hashlib.sha256(factors).hexdigest())
+"""
+
+
+def test_factors_do_not_depend_on_the_blas_thread_count():
+    # a matrix that splits, solved in fresh processes whose OpenBLAS starts with 1 or 2 threads
+    src = str(Path(nmfkit.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_COUNT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 2 * len(ALGORITHMS)
 
 
 # Final objectives of a fixed mini-corpus solve, recorded before the solver moved to a CSR
