@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .convergence import MaxIterOnly
 from .errors import NonpositiveBaseline
 from .initializers import InitStrategy, initialize
-from .linalg import residual_trace, gram, trace_frob_sq, truncated_svd
-from .solvers import SolveResult, SolverConfig, solve
+from .linalg import truncated_svd
+from .solvers import SolveResult, SolverConfig, objective_sq, solve
 
 _FLOAT_BYTES = 8
 _INDEX_BYTES = 8
@@ -24,18 +23,13 @@ _INDEX_BYTES = 8
 
 def relative_error(A, W, H, svd_err: float) -> float:
     """SVD-normalized error (||A - W H||_F - svd_err) / svd_err."""
-    if svd_err <= 0:
-        raise NonpositiveBaseline(f"svd_err must be positive, got {svd_err}")
-    fit = math.sqrt(residual_trace(A, W, H, gram(W), W.T @ A, trace_frob_sq(A)))
-    return (fit - svd_err) / svd_err
+    return _error_from_objective(objective_sq(A, W, H), svd_err)
 
 
 def svd_baseline_error(A, k: int, seed: int = 0) -> float:
     """||A - U_k S_k V_k^T||_F from the randomized truncated SVD."""
     svd = truncated_svd(A, k, seed=seed)
-    W = svd.U * svd.singular_values
-    H = svd.V.T
-    return math.sqrt(residual_trace(A, W, H, gram(W), W.T @ A, trace_frob_sq(A)))
+    return math.sqrt(objective_sq(A, svd.U * svd.singular_values, svd.V.T))
 
 
 def w0_storage_bytes(W0: np.ndarray, strategy_name: str) -> int:

@@ -62,34 +62,23 @@ class Vocabulary:
 
 
 def _weight(counts: sp.csc_array, weighting: str) -> sp.csc_array:
-    m, n = counts.shape
     if weighting == "tf":
         return counts
-    csr = counts.tocsr()
-    df = np.diff(csr.indptr)  # documents per term
+    m, n = counts.shape
+    term = counts.indices  # the row, so the term, of each stored count
     if weighting == "tfidf":
-        idf = np.log(n / np.maximum(df, 1))
-        out = sp.csr_array(
-            (csr.data * np.repeat(idf, np.diff(csr.indptr)), csr.indices, csr.indptr),
-            shape=(m, n),
-        )
-        out = out.tocsc()
-        out.eliminate_zeros()
-        return out
-    if weighting == "logent":
-        gf = np.asarray(csr.sum(axis=1)).ravel()  # global term frequency
-        global_w = np.ones(m)
-        if n > 1:
-            for i in range(m):
-                row = csr.data[csr.indptr[i] : csr.indptr[i + 1]]
-                if row.size and gf[i] > 0:
-                    p = row / gf[i]
-                    global_w[i] = 1.0 + float(np.sum(p * np.log(p))) / math.log(n)
-        data = np.log1p(csr.data) * np.repeat(global_w, np.diff(csr.indptr))
-        out = sp.csr_array((data, csr.indices, csr.indptr), shape=(m, n)).tocsc()
-        out.eliminate_zeros()
-        return out
-    raise ValueError(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")
+        idf = np.log(n / np.maximum(np.bincount(term, minlength=m), 1))
+        data = counts.data * idf[term]
+    elif weighting == "logent":
+        p = counts.data / np.bincount(term, weights=counts.data, minlength=m)[term]
+        entropy = np.bincount(term, weights=p * np.log(p), minlength=m)
+        global_w = 1.0 + entropy / math.log(n) if n > 1 else np.ones(m)
+        data = np.log1p(counts.data) * global_w[term]
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")
+    out = sp.csc_array((data, counts.indices, counts.indptr), shape=(m, n))
+    out.eliminate_zeros()
+    return out
 
 
 def build_matrix_from_texts(
@@ -107,38 +96,33 @@ def build_matrix_from_texts(
     """
     if not texts:
         raise EmptyCorpus("no documents supplied")
-    tokenized = [tokenize(t, min_token_len=min_token_len, stopwords=stopwords) for t in texts]
-    df: dict[str, int] = {}
-    for toks in tokenized:
-        for term in set(toks):
-            df[term] = df.get(term, 0) + 1
-    kept = sorted(t for t, c in df.items() if c >= min_df)
+    ids: dict[str, int] = {}  # term -> first-seen id
+    per_doc = [
+        np.array(
+            [ids.setdefault(tok, len(ids)) for tok in tokenize(t, min_token_len, stopwords)],
+            dtype=np.int32,
+        )
+        for t in texts
+    ]
+    lengths = [a.size for a in per_doc]
+    term = np.concatenate(per_doc)
+    del per_doc
+    doc = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
+    # the constructor sums duplicate (term, doc) pairs into the term's count in the document
+    counts = sp.csr_array((np.ones(term.size), (term, doc)), shape=(len(ids), len(texts)))
+    df = np.diff(counts.indptr)
+    kept = sorted(t for t, i in ids.items() if df[i] >= min_df)
     if not kept:
         raise EmptyCorpus("no terms survived the min-df filter")
-    vocab = Vocabulary(terms=kept, doc_freq=[df[t] for t in kept])
-
-    rows, cols, vals = [], [], []
-    for j, toks in enumerate(tokenized):
-        col_counts: dict[int, int] = {}
-        for term in toks:
-            i = vocab.index.get(term)
-            if i is not None:
-                col_counts[i] = col_counts.get(i, 0) + 1
-        if not col_counts:
-            warnings.warn(
-                f"document {j} has no in-vocabulary tokens; keeping a zero column",
-                EmptyDocumentWarning,
-                stacklevel=2,
-            )
-            continue
-        for i, c in sorted(col_counts.items()):
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(c))
-    idx = np.int32 if len(vals) < 2**31 else np.int64  # scipy keeps int64 list coordinates
-    coords = (np.array(rows, dtype=idx), np.array(cols, dtype=idx))
-    counts = sp.csc_array((vals, coords), shape=(len(vocab), len(texts)), dtype=float)
-    counts.sort_indices()
+    rows = np.array([ids[t] for t in kept], dtype=np.intp)
+    vocab = Vocabulary(terms=kept, doc_freq=df[rows].tolist())
+    counts = counts[rows].tocsc()
+    for j in np.flatnonzero(np.diff(counts.indptr) == 0):
+        warnings.warn(
+            f"document {j} has no in-vocabulary tokens; keeping a zero column",
+            EmptyDocumentWarning,
+            stacklevel=2,
+        )
     return _weight(counts, weighting), vocab
 
 

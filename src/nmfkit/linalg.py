@@ -143,9 +143,19 @@ def normalize_columns(X: np.ndarray) -> np.ndarray:
 
 
 def column_norms(X) -> np.ndarray:
-    """2-norms of the columns of a dense or sparse X."""
+    """2-norms of the columns of a dense or sparse X.
+
+    A CSR or CSC X is put in canonical form in place, as X.power(2) would do,
+    so duplicates add up before squaring; it is then squared on its own
+    indices, which X.power(2) would copy.
+    """
     if sp.issparse(X):
-        return np.sqrt(np.asarray(X.power(2).sum(axis=0)).ravel())
+        if X.format in ("csr", "csc"):
+            X.sum_duplicates()
+            squares = _on_arrays(type(X), X.shape, X.data**2, X.indices, X.indptr)
+        else:
+            squares = X.power(2)
+        return np.sqrt(np.asarray(squares.sum(axis=0)).ravel())
     return np.linalg.norm(X, axis=0)
 
 

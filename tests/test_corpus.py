@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmfkit.corpus import (
     DEFAULT_STOPWORDS,
@@ -82,6 +87,26 @@ class TestBuildMatrix:
         with pytest.raises(EmptyCorpus):
             build_matrix_from_texts(["unique1", "unique2"], min_df=2, stopwords=frozenset())
 
+    def test_logent_hand_example(self):
+        # a_ij = log(1 + c_ij) * (1 + sum_j p_ij log p_ij / log n), p_ij = c_ij / sum_j c_ij
+        A, vocab = build_matrix_from_texts(
+            ["sun moon sun day", "moon star day", "sun star star day"],
+            weighting="logent",
+            min_df=1,
+            stopwords=frozenset(),
+        )
+        assert vocab.terms == ["day", "moon", "star", "sun"]
+        third = (math.log(1 / 3) / 3 + 2 * math.log(2 / 3) / 3) / math.log(3)
+        g_moon = 1.0 - math.log(2) / math.log(3)
+        g_star = g_sun = 1.0 + third
+        expected = [
+            [0.0, 0.0, 0.0],  # once in every document: no information, weight 0
+            [math.log(2) * g_moon, math.log(2) * g_moon, 0.0],
+            [0.0, math.log(2) * g_star, math.log(3) * g_star],
+            [math.log(3) * g_sun, 0.0, math.log(2) * g_sun],
+        ]
+        np.testing.assert_allclose(A.toarray(), expected, rtol=1e-12, atol=1e-15)
+
     def test_logent_weighting_nonnegative(self):
         A, _ = build_matrix_from_texts(
             ["sun moon sun", "moon star", "sun star star"],
@@ -94,6 +119,63 @@ class TestBuildMatrix:
     def test_unknown_weighting(self):
         with pytest.raises(ValueError):
             build_matrix_from_texts(["one word here", "word here too"], weighting="boolean")
+
+
+def _dict_oracle(texts, min_df):
+    """(terms, doc_freq, columns of sorted (row, count) pairs) by per-token dict loops."""
+    tokenized = [tokenize(t, min_token_len=1, stopwords=frozenset()) for t in texts]
+    df = {}
+    for toks in tokenized:
+        for term in set(toks):
+            df[term] = df.get(term, 0) + 1
+    terms = sorted(t for t, c in df.items() if c >= min_df)
+    index = {t: i for i, t in enumerate(terms)}
+    columns = []
+    for toks in tokenized:
+        col = {}
+        for term in toks:
+            if term in index:
+                col[index[term]] = col.get(index[term], 0) + 1
+        columns.append(sorted(col.items()))
+    return terms, [df[t] for t in terms], columns
+
+
+_WORDS = st.sampled_from(["ab", "cd", "ef", "gh", "ij"])
+
+
+class TestBuildMatrixOracle:
+    @given(
+        texts=st.lists(st.lists(_WORDS, max_size=8).map(" ".join), min_size=1, max_size=7),
+        min_df=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_counting(self, texts, min_df):
+        terms, doc_freq, columns = _dict_oracle(texts, min_df)
+        kwargs = dict(min_df=min_df, min_token_len=1, stopwords=frozenset())
+        if not terms:
+            with pytest.raises(EmptyCorpus):
+                build_matrix_from_texts(texts, **kwargs)
+            return
+        n = len(texts)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tf, vocab = build_matrix_from_texts(texts, **kwargs)
+            tfidf, _ = build_matrix_from_texts(texts, weighting="tfidf", **kwargs)
+        empty = [j for j, col in enumerate(columns) if not col]
+        warned = [str(w.message) for w in caught if issubclass(w.category, EmptyDocumentWarning)]
+        message = "document {} has no in-vocabulary tokens; keeping a zero column"
+        assert warned == [message.format(j) for j in empty] * 2  # once per build
+        assert vocab.terms == terms and vocab.doc_freq == doc_freq
+        assert tf.shape == (len(terms), n)
+        assert tf.indptr.tolist() == np.cumsum([0] + [len(col) for col in columns]).tolist()
+        assert tf.indices.tolist() == [i for col in columns for i, _ in col]
+        assert tf.data.tolist() == [float(c) for col in columns for _, c in col]
+        idf = np.log(n / np.array(doc_freq, dtype=float))
+        weighted = [(j, i, c * idf[i]) for j, col in enumerate(columns) for i, c in col]
+        kept = [(j, i, v) for j, i, v in weighted if v != 0.0]
+        assert tfidf.indices.tolist() == [i for _, i, _ in kept]
+        assert tfidf.data.tolist() == [v for _, _, v in kept]
+        assert np.array_equal(np.diff(tfidf.indptr), np.bincount([j for j, _, _ in kept], minlength=n))
 
 
 class TestVocabularyIO:

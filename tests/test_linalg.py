@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ from nmfkit.errors import DegenerateInput, DimensionMismatch, RankTooLarge, Sing
 from nmfkit.linalg import (
     centroid_decomposition,
     cluster_centroids,
+    column_norms,
     gram,
     residual_trace,
     row_blocks,
@@ -133,6 +136,42 @@ class TestRowBlocks:
         assert T.format == "csc" and T.shape == block.shape[::-1]
         assert T.data is block.data and T.indices is block.indices
         assert np.array_equal(T.toarray(), block.toarray().T)
+
+
+class TestColumnNorms:
+    @pytest.mark.parametrize("fmt", ["csc", "csr", "coo"])
+    def test_bit_identical_to_summed_squares(self, fmt):
+        # random-c orders its candidate pool by these norms, so they must not move by round-off
+        A = rand_sparse(300, 80, density=0.1, seed=16).asformat(fmt)
+        expected = np.sqrt(np.asarray(A.power(2).sum(axis=0)).ravel())
+        assert column_norms(A).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("container", [sp.csc_array, sp.csr_array])
+    def test_unsorted_indices_and_duplicates(self, container):
+        # A A^T comes out with unsorted indices; a duplicate must be summed before squaring
+        shape = (25, 40) if container is sp.csc_array else (40, 25)
+
+        def noncanonical():
+            rng = np.random.default_rng(18)
+            indptr = np.arange(0, 121, 3)  # 40 columns (CSC) or rows (CSR) of 3 entries each
+            indices = rng.integers(0, 25, 120)
+            indices[1::3] = indices[::3]  # a duplicate in each
+            return container((rng.random(120), indices, indptr), shape=shape)
+
+        expected = np.sqrt(np.asarray(noncanonical().power(2).sum(axis=0)).ravel())
+        assert column_norms(noncanonical()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csc", "csr"])
+    def test_peak_is_one_copy_of_the_data(self, fmt):
+        # squaring a copy of X would also copy its indices, a third more at 32-bit indices
+        A = rand_sparse(2000, 300, density=0.1, seed=17).asformat(fmt)
+        tracemalloc.start()
+        try:
+            column_norms(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= A.data.nbytes + 16 * sum(A.shape)
 
 
 class TestResidualTrace:
