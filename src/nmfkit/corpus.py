@@ -70,9 +70,12 @@ def _weight(counts: sp.csc_array, weighting: str) -> sp.csc_array:
         idf = np.log(n / np.maximum(np.bincount(term, minlength=m), 1))
         data = counts.data * idf[term]
     elif weighting == "logent":
-        p = counts.data / np.bincount(term, weights=counts.data, minlength=m)[term]
+        total = np.bincount(term, weights=counts.data, minlength=m)
+        p = counts.data / total[term]
         entropy = np.bincount(term, weights=p * np.log(p), minlength=m)
-        global_w = 1.0 + entropy / math.log(n) if n > 1 else np.ones(m)
+        # equal counts in all n documents give entropy exactly -log n, which the sum misses by ulps
+        even = np.bincount(term, weights=counts.data != (total / n)[term], minlength=m) == 0
+        global_w = np.where(even, 0.0, 1.0 + entropy / math.log(n)) if n > 1 else np.ones(m)
         data = np.log1p(counts.data) * global_w[term]
     else:
         raise ValueError(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")

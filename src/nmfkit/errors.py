@@ -49,13 +49,5 @@ class NonpositiveBaseline(NumericalError):
     """SVD baseline error must be positive to normalize against."""
 
 
-class ResourceLimit(NmfError):
-    """An operation exceeded available memory."""
-
-
 class EmptyDocumentWarning(UserWarning):
     """A document produced no tokens; its column is retained as all zeros."""
-
-
-class CostWarning(UserWarning):
-    """The requested operation is expected to be expensive."""

@@ -7,25 +7,26 @@ Every strategy is seed-deterministic and returns a nonnegative m x k array.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CostWarning, DimensionMismatch, PTooLarge, ResourceLimit
+from .errors import DegenerateInput, DimensionMismatch, PTooLarge
 from .linalg import (
     centroid_decomposition,
     cluster_centroids,
     column_norms,
+    row_blocks,
     spherical_kmeans,
     truncated_svd,
 )
 
 STRATEGY_NAMES = ("random", "centroid", "svd-centroid", "acol", "random-c", "cooccurrence")
 
-_COOCCURRENCE_WARN_ROWS = 10_000
 _AVERAGES_PER_PRODUCT = 8
+# Fewest values a row block of A A^T may hold in co-occurrence's norm pass
+_NORM_BLOCK_FLOOR = 2**16
 
 
 @dataclass
@@ -138,26 +139,44 @@ def init_svd_centroid(A, V: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return cluster_centroids(A, assign, k)
 
 
+class _Product:
+    """L @ R, never formed: its `@` multiplies by R, then by L, and its `.T` is Rᵀ Lᵀ."""
+
+    def __init__(self, L, R, T=None):
+        self.L, self.R, self.shape = L, R, (L.shape[0], R.shape[1])
+        self.T = _Product(R.T, L.T, self) if T is None else T
+
+    def __matmul__(self, Z):
+        return self.L @ (self.R @ Z)
+
+
 def init_cooccurrence(A, k: int, seed: int = 0) -> np.ndarray:
-    """Cluster the columns of the term co-occurrence matrix C = A A^T.
+    """Cluster the columns of the term co-occurrence matrix C = A A^T, which is never formed.
 
     The published column-formation recipe for C is not reproduced here; the
     centroids of C's columns stand in for it, keeping term-term similarity
-    as the driver of W. Expensive when the vocabulary is large.
+    as the driver of W. Spherical k-means sees C only through products with
+    A and A^T. C's column norms come from one row block C[J, :] = A[J] A^T at
+    a time, of about max(nnz(A) + (m+n) k, _NORM_BLOCK_FLOOR) values. Zero
+    rows of A give zero columns of C, which are left out.
     """
-    A = sp.csc_array(A)
-    m, _ = A.shape
-    if m > _COOCCURRENCE_WARN_ROWS:
-        warnings.warn(
-            f"co-occurrence initialization forms an {m} x {m} matrix; this is expensive",
-            CostWarning,
-            stacklevel=2,
-        )
-    try:
-        C = (A @ A.T).tocsc()
-    except MemoryError as exc:
-        raise ResourceLimit(f"co-occurrence matrix of order {m} does not fit in memory") from exc
-    return centroid_decomposition(C, k, seed=seed)
+    A, At = sp.csr_array(A), sp.csc_array(A).T  # At is a CSR on the CSC arrays
+    m, n = A.shape
+    # sum_d nnz(A[:, d])^2 bounds nnz(C); a block holds about as many values as A and W, H
+    nnz_bound = np.sum(np.diff(At.indptr).astype(float) ** 2)
+    count = math.ceil(nnz_bound / max(A.nnz + (m + n) * k, _NORM_BLOCK_FLOOR))
+    sq_norms = []
+    for block in row_blocks(A, max(count, 1)):
+        C = block @ At
+        C.data **= 2
+        sq_norms.append(C.sum(axis=1))
+        del C  # before the next block is formed
+    norms = np.sqrt(np.concatenate(sq_norms))
+    keep = np.flatnonzero(norms > 0)
+    if keep.size < k:
+        raise DegenerateInput(f"only {keep.size} nonzero columns available for k={k} clusters")
+    rows = A if keep.size == m else A[keep]
+    return spherical_kmeans(_Product(rows, At).T, k, seed=seed, norms=norms[keep])[0]
 
 
 def initialize(A, k: int, strategy: InitStrategy) -> np.ndarray:

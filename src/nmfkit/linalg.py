@@ -159,12 +159,14 @@ def column_norms(X) -> np.ndarray:
     return np.linalg.norm(X, axis=0)
 
 
-def cluster_centroids(X, assign: np.ndarray, k: int) -> np.ndarray:
+def cluster_centroids(X, assign: np.ndarray, k: int, weights=None) -> np.ndarray:
     """Unit-normalized sums of X's columns per cluster (dims x k), by one product X @ onehot.
 
-    assign[j] = -1 leaves column j in no cluster; an empty cluster gives a zero column.
+    Column j enters its sum scaled by weights[j], if given. assign[j] = -1
+    leaves column j in no cluster; an empty cluster gives a zero column.
     """
-    onehot = np.equal.outer(assign, np.arange(k)).astype(float)
+    onehot = np.equal.outer(assign, np.arange(k))
+    onehot = onehot.astype(float) if weights is None else onehot * weights[:, None]
     return normalize_columns(np.asarray(X @ onehot))
 
 
@@ -174,32 +176,36 @@ def spherical_kmeans(
     seed: int = 0,
     max_iter: int = 100,
     tol: float = 1e-6,
+    norms=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster the columns of a dense or sparse X on cosine similarity.
+    """Cluster the columns of X on cosine similarity.
 
-    Returns (centroids dims x k, assignment length ncols). Columns must be
-    nonzero; empty clusters are re-seeded with the column farthest from its
-    assigned centroid. Deterministic per seed (argmax ties break low).
+    X is a dense or sparse matrix, or any object with `shape`, `X @ Z` and
+    `X.T @ Z` when its column norms are given. Columns must be nonzero; each
+    enters the centroid sums and its own similarity scaled by 1/norm, so no
+    normalized copy of X is made (a positive scale of a row of similarities
+    leaves its argmax where it is). Returns (centroids dims x k, assignment
+    length ncols). Empty clusters are re-seeded with the column farthest
+    from its assigned centroid. Deterministic per seed (argmax ties break low).
     """
     dims, ncols = X.shape
     if k > ncols:
         raise DegenerateInput(f"k={k} exceeds the {ncols} available columns")
-    norms = column_norms(X)
-    Xn = X @ sp.diags_array(1.0 / norms) if sp.issparse(X) else X / norms
-    XnT = Xn.T  # one transposed view, not one per iteration
+    inv = 1.0 / (column_norms(X) if norms is None else norms)
+    XT = X.T  # one transposed view, not one per iteration
     rng = np.random.default_rng(seed)
     assign = np.full(ncols, -1)
     assign[rng.choice(ncols, size=k, replace=False)] = np.arange(k)
-    centroids = cluster_centroids(Xn, assign, k)
+    centroids = cluster_centroids(X, assign, k, inv)
     for _ in range(max_iter):
-        sims = np.asarray(XnT @ centroids)  # ncols x k
+        sims = np.asarray(XT @ centroids)  # ncols x k, each row times its column's norm
         assign = np.argmax(sims, axis=1)
-        own_sim = sims[np.arange(ncols), assign]
+        own_sim = sims[np.arange(ncols), assign] * inv
         for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
             worst = int(np.argmin(own_sim))
             assign[worst] = c
             own_sim[worst] = 1.0
-        new_centroids = cluster_centroids(Xn, assign, k)
+        new_centroids = cluster_centroids(X, assign, k, inv)
         movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=0)))
         centroids = new_centroids
         if movement < tol:
@@ -215,13 +221,15 @@ def centroid_decomposition(M, k: int, seed: int = 0) -> np.ndarray:
     degenerate. Nonnegative input yields nonnegative centroids.
     """
     X = M if sp.issparse(M) else np.asarray(M, dtype=float)
-    keep = column_norms(X) > 0
+    norms = column_norms(X)
+    keep = norms > 0
     if int(keep.sum()) < k:
         raise DegenerateInput(
             f"only {int(keep.sum())} nonzero columns available for k={k} clusters"
         )
-    centroids, _ = spherical_kmeans(X if keep.all() else X[:, keep], k, seed=seed)
-    return centroids
+    if not keep.all():
+        X, norms = X[:, keep], norms[keep]
+    return spherical_kmeans(X, k, seed=seed, norms=norms)[0]
 
 
 def _on_arrays(container, shape, data, indices, indptr):

@@ -55,14 +55,15 @@ _BLOCK_MIN_NNZ = 32768
 
 def sparsity_hoyer(x) -> float:
     """Hoyer sparsity (sqrt(n) - ||x||_1/||x||_2) / (sqrt(n) - 1), in [0, 1]."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.abs(np.asarray(x, dtype=float).ravel())
     n = x.size
     if n < 2:
         raise DegenerateInput("Hoyer sparsity is undefined for vectors of length < 2")
-    l2 = float(np.linalg.norm(x))
-    if l2 == 0.0:
+    peak = float(x.max())
+    if peak == 0.0:
         raise ZeroVector("Hoyer sparsity is undefined for the zero vector")
-    l1 = float(np.abs(x).sum())
+    x /= peak  # scale-free, and squares of tiny entries no longer underflow
+    l1, l2 = float(x.sum()), float(np.linalg.norm(x))
     rn = math.sqrt(n)
     return (rn - l1 / l2) / (rn - 1.0)
 
@@ -346,10 +347,12 @@ def _run_step(
 
 
 def _penalty_value(X, pen: _Penalty) -> float:
-    """The _Penalty value of X; none for a multiplicative factor."""
+    """The _Penalty value of X; none for a multiplicative factor. A sum times 0 is skipped."""
     if pen.multiplicative:
         return 0.0
-    return pen.ridge * float(np.sum(X * X)) - pen.ones * float(np.sum(X.sum(axis=0) ** 2))
+    ridge = pen.ridge * float(np.sum(X * X)) if pen.ridge else 0.0
+    ones = pen.ones * float(np.sum(X.sum(axis=0) ** 2)) if pen.ones else 0.0
+    return ridge - ones
 
 
 def objective_sq(A, W, H, config: SolverConfig | None = None) -> float:

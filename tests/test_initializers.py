@@ -7,7 +7,8 @@ from scipy.optimize import nnls
 
 from helpers import rand_sparse
 from nmfkit.corpus import WEIGHTINGS, mini_matrix
-from nmfkit.errors import CostWarning, PTooLarge
+import nmfkit.initializers as initializers
+from nmfkit.errors import DegenerateInput, PTooLarge
 from nmfkit.initializers import (
     STRATEGY_NAMES,
     InitStrategy,
@@ -19,7 +20,7 @@ from nmfkit.initializers import (
     init_svd_centroid,
     initialize,
 )
-from nmfkit.linalg import truncated_svd
+from nmfkit.linalg import centroid_decomposition, column_norms, spherical_kmeans, truncated_svd
 
 
 class TestRandom:
@@ -188,13 +189,44 @@ class TestCooccurrence:
         assert W.shape == (15, 3)
         assert W.min() >= 0.0
 
-    def test_cost_warning_above_row_threshold(self, monkeypatch):
-        import nmfkit.initializers as mod
+    @staticmethod
+    def _with_zero_rows():
+        A = rand_sparse(30, 40, density=0.3, seed=14).tolil()
+        A[[3, 7, 8, 29], :] = 0.0
+        return sp.csc_array(A)
 
-        monkeypatch.setattr(mod, "_COOCCURRENCE_WARN_ROWS", 10)
-        A = rand_sparse(12, 8, density=0.6, seed=14)
-        with pytest.warns(CostWarning):
-            init_cooccurrence(A, 2, seed=0)
+    @pytest.mark.parametrize("fmt", ["csc", "csr"])
+    @pytest.mark.parametrize("floor", [None, 1])
+    def test_matches_explicit_c_oracle(self, fmt, floor, monkeypatch):
+        # oracle: centroid decomposition of the formed C = A A^T; a floor of 1
+        # value cuts the norm pass into several blocks
+        if floor is not None:
+            monkeypatch.setattr(initializers, "_NORM_BLOCK_FLOOR", floor)
+        cases = [(mini_matrix(w)[0], 8) for w in WEIGHTINGS] + [(self._with_zero_rows(), 4)]
+        for A, k in cases:
+            A = A.asformat(fmt)
+            for seed in range(5):
+                want = centroid_decomposition((A @ A.T).tocsc(), k, seed=seed)
+                got = init_cooccurrence(A, k, seed=seed)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_degenerate_when_too_few_nonzero_rows(self):
+        A = sp.csc_array(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 1.0]]))
+        with pytest.raises(DegenerateInput):
+            init_cooccurrence(A, 3, seed=0)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_kmeans_on_products_matches_explicit_c(self, weighting):
+        A, _ = mini_matrix(weighting)
+        C = (A @ A.T).tocsc()
+        keep = np.flatnonzero(column_norms(C) > 0)
+        product = initializers._Product(sp.csr_array(A)[keep], sp.csc_array(A).T).T
+        assert product.shape == (A.shape[0], keep.size)
+        for seed in range(5):
+            want_c, want_a = spherical_kmeans(C[:, keep], 8, seed=seed)
+            got_c, got_a = spherical_kmeans(product, 8, seed=seed, norms=column_norms(C)[keep])
+            assert np.array_equal(got_a, want_a)
+            np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-12)
 
 
 class TestDispatcher:
@@ -225,11 +257,11 @@ class TestMemoryAndInputs:
 
     @pytest.mark.parametrize("name", ["centroid", "svd-centroid", "acol", "random-c", "cooccurrence"])
     def test_peak_scales_with_nnz_not_mn(self, wide, name):
-        # u = one 64-bit-index copy of A plus one (m+n) x k float array; the co-occurrence
-        # initializer may also hold three copies of A A^T. A dense m x n copy of A is 200u.
+        # u = one 64-bit-index copy of A plus one (m+n) x k float array. A dense
+        # m x n copy of A is 200u; A A^T, which co-occurrence never forms, is about 17u.
         (m, n), k = wide.shape, 10
         u = 16 * wide.nnz + 8 * (m + n) * k
-        bound = 4 * u + (3 * 16 * (wide @ wide.T).nnz if name == "cooccurrence" else 0)
+        bound = 4 * u
         tracemalloc.start()
         try:
             initialize(wide, k, InitStrategy(name=name, seed=0))

@@ -344,6 +344,15 @@ class TestSparseKmeans:
             assert np.array_equal(a_sparse, a_dense)
             assert np.allclose(C_sparse, C_dense, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_precomputed_norms_change_nothing(self, dense):
+        A, _ = mini_matrix("tfidf")
+        X = A.toarray() if dense else A
+        for seed in range(3):
+            C_given, a_given = spherical_kmeans(X, 8, seed=seed, norms=column_norms(X))
+            C, a = spherical_kmeans(X, 8, seed=seed)
+            assert C_given.tobytes() == C.tobytes() and np.array_equal(a_given, a)
+
     def test_cluster_centroids_match_per_cluster_average(self):
         # oracle: one normalized mean per cluster by boolean masks; -1 joins no cluster
         A = rand_sparse(12, 20, density=0.5, seed=4)

@@ -55,6 +55,10 @@ class TestSparsityHoyer:
         with pytest.raises(DegenerateInput):
             sparsity_hoyer(np.array([2.0]))
 
+    def test_tiny_entries_do_not_underflow(self):
+        # squared, 3.7e-162 is subnormal; the plain l2 norm read 0.157 for this constant vector
+        assert sparsity_hoyer(np.full(2, 3.67269622e-162)) == pytest.approx(0.0, abs=1e-12)
+
     @given(arrays(np.float64, st.integers(2, 30), elements=st.floats(0, 100)))
     @settings(max_examples=100, deadline=None)
     def test_bounded_and_scale_invariant(self, x):
