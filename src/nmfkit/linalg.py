@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateInput, DimensionMismatch, RankTooLarge, SingularSystem
 
@@ -36,9 +35,8 @@ def gram(M: np.ndarray) -> np.ndarray:
 def solve_spd_multi(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve G X = B for all columns of B with one LAPACK Cholesky factorization G = L L^T.
 
-    The two triangular solves run from the right on the tall X^T = B^T L^-T L^-1,
-    which single-threaded OpenBLAS does in about 60% of the time of the
-    left-side solves on the wide B. X comes back C-ordered.
+    LAPACK dpotrf factors G and dpotrs solves on its own copy of B, so B is
+    left as it was; B may be a vector. The solvers pass B = I and get G^-1.
 
     G must be symmetric positive definite (the caller typically guarantees
     this through a ridge term). Raises SingularSystem when the factorization
@@ -51,19 +49,14 @@ def solve_spd_multi(G: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"G must be square, got {G.shape}")
     if B.shape[0] != G.shape[0]:
         raise DimensionMismatch(f"G is {G.shape} but B has {B.shape[0]} rows")
-    try:
-        factor = cho_factor(G, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularSystem(f"Cholesky factorization failed: {exc}") from exc
-    pivot = float(np.min(np.diag(factor[0]) ** 2))
+    L, info = dpotrf(G, lower=1, clean=0)
+    if info > 0:
+        raise SingularSystem(f"Cholesky factorization failed at leading minor {info}")
+    pivot = float(np.min(np.diag(L) ** 2))
     tol = _PIVOT_RTOL * max(float(np.abs(G).max()), 1e-300)
     if pivot <= tol:
         raise SingularSystem(f"pivot {pivot:.3e} below tolerance {tol:.3e}")
-    L = factor[0]
-    Xt = np.array(B.reshape(B.shape[0], -1).T, order="F")  # a copy, which dtrsm overwrites
-    dtrsm(1.0, L, Xt, side=1, lower=1, trans_a=1, overwrite_b=1)
-    dtrsm(1.0, L, Xt, side=1, lower=1, overwrite_b=1)
-    return Xt.T.reshape(B.shape)
+    return dpotrs(L, B, lower=1)[0]
 
 
 def solve_spd_ridged(G: np.ndarray, B: np.ndarray) -> np.ndarray:

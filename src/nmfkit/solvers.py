@@ -45,6 +45,9 @@ from .linalg import (
 ALGORITHMS = ("acls", "ahcls", "mu", "gdcls")
 
 _MU_EPS = 1e-9
+# Largest c 1^T M^-1 1 an AHCLS solve allows: M - c E stays positive definite, and
+# the all-ones direction amplifies round-off by at most 1 / (1 - _ONES_CAP).
+_ONES_CAP = 0.9
 
 # A is split into _ROW_BLOCKS row blocks only when each gets at least _BLOCK_MIN_NNZ
 # nonzeros on average. The rule reads nnz(A), never the core count, so the summation
@@ -195,8 +198,20 @@ def _system(G: np.ndarray, pen: _Penalty) -> np.ndarray:
 
 
 def _cls(G: np.ndarray, B: np.ndarray, pen: _Penalty) -> np.ndarray:
-    """clip(solve(G + ridge I - ones E, B)) for the Gram matrix G of the fixed factor."""
-    return _clip(solve_spd_ridged(_system(G, pen), B))
+    """clip(B^T (G + ridge I - c E)^-1), C-ordered, for the Gram matrix G of the fixed factor.
+
+    B has k rows, so the result has k columns. One Cholesky inverts
+    M = G + ridge I, and the half-step is then one GEMM. An
+    all-ones term enters by Sherman-Morrison with u = M^-1 1 and s = 1^T u;
+    M - c E is positive definite iff c s < 1, so c = min(ones, _ONES_CAP / s).
+    """
+    inv = solve_spd_ridged(G + pen.ridge * np.eye(G.shape[0]), np.eye(G.shape[0]))
+    if pen.ones:
+        u = inv.sum(axis=1)
+        s = float(u.sum())
+        c = min(pen.ones, _ONES_CAP / s)
+        inv += (c / (1.0 - c * s)) * np.outer(u, u)
+    return _clip(B.T @ inv)
 
 
 def _mu(X: np.ndarray, den: np.ndarray, num: np.ndarray) -> np.ndarray:
@@ -211,7 +226,7 @@ def _half_h(H, WtW, WtA, pen: _Penalty, rng) -> np.ndarray:
     """New H from W's byproducts WtW = W^T W and WtA = W^T A."""
     if pen.multiplicative:
         return _mu(H, WtW @ H, WtA)
-    H = _cls(WtW, WtA, pen)
+    H = _cls(WtW, WtA, pen).T
     _repair_zero_rows(H, rng)
     return H
 
@@ -220,7 +235,7 @@ def _half_w(A, W, HHt, AHt, pen: _Penalty, rng) -> np.ndarray:
     """New W from H's byproducts HHt = H H^T and AHt = A H^T."""
     if pen.multiplicative:
         return _mu(W, W @ HHt, AHt)
-    W = _cls(HHt, AHt.T, pen).T
+    W = _cls(HHt, AHt.T, pen)
     _repair_zero_cols(W, A, rng)
     return W
 

@@ -18,7 +18,7 @@ from nmfkit.errors import DegenerateInput, InvalidRank, NmfError, ZeroVector
 import nmfkit
 from nmfkit import solvers
 from nmfkit.initializers import STRATEGY_NAMES, InitStrategy
-from nmfkit.linalg import blas_threads, set_blas_threads
+from nmfkit.linalg import blas_threads, gram, set_blas_threads, solve_spd_multi
 from nmfkit.solvers import (
     ALGORITHMS,
     SolverConfig,
@@ -160,6 +160,77 @@ class TestAhclsStep:
         W = np.random.default_rng(17).random((15, 4))
         Wn, H = ahcls_step(A, W, 0.1, 0.1, 0.8, 0.8, rng=np.random.default_rng(18))
         assert H.min() >= 0.0 and Wn.min() >= 0.0
+
+    @staticmethod
+    def _capped_system(lam):
+        """(G, B, penalty, c, E) of an AHCLS H half-step; c is the all-ones coefficient solved with."""
+        rng = np.random.default_rng(30)
+        k = 6
+        G = gram(rng.random((40, k)))
+        B = rng.random((k, 25)) - 0.3  # some entries clip
+        pen = solvers._penalties("ahcls", k, lam, lam, 0.9, 0.9)[1]
+        M, E = G + pen.ridge * np.eye(k), np.ones((k, k))
+        s = float(np.linalg.solve(M, np.ones(k)).sum())
+        c = lam if lam * s < 0.9 else 0.9 / s
+        return G, B, pen, c, E
+
+    @pytest.mark.parametrize("lam, capped", [(0.5, False), (50.0, True)], ids=["lambda", "capped"])
+    def test_cls_matches_dense_solve_with_capped_ones(self, lam, capped):
+        # oracle: a dense solve of (G + ridge I - c E) X = B with c = min(lambda, 0.9 / 1^T M^-1 1)
+        G, B, pen, c, E = self._capped_system(lam)
+        assert (c < lam) == capped
+        oracle = np.maximum(np.linalg.solve(G + pen.ridge * np.eye(len(G)) - c * E, B), 0.0).T
+        X = solvers._cls(G, B, pen)
+        assert np.abs(X - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_kkt_gradient_keeps_the_uncapped_lambda(self):
+        G, B, pen, c, E = self._capped_system(50.0)
+        X = solvers._cls(G, B, pen)
+        M = G + pen.ridge * np.eye(len(G))
+
+        def residual(coef):
+            return np.abs(np.minimum(X, 2.0 * (X @ (M - coef * E) - B.T))).max()
+
+        assert solvers._kkt_residual(X, G, B.T, pen) == pytest.approx(residual(pen.ones), rel=1e-12)
+        assert residual(pen.ones) != pytest.approx(residual(c), rel=1e-3)
+
+    def test_mini_grid_runs_all_finish(self):
+        # lambda 0.5 makes G + ridge I - lambda E indefinite in 11 of these 36 runs without the cap
+        for weighting in ("tf", "tfidf", "logent"):
+            A, _ = mini_matrix(weighting)
+            for init in ("acol", "svd-centroid", "centroid", "random"):
+                for alpha in (0.0, 0.5, 0.9):
+                    config = SolverConfig(k=8, algorithm="ahcls", lambda_w=0.5, lambda_h=0.5,
+                                          alpha_w=alpha, alpha_h=alpha, max_iter=30)
+                    factors = solve(A, config, InitStrategy(name=init)).factors
+                    for X in (factors.W, factors.H):
+                        assert np.isfinite(X).all() and X.min() >= 0.0, (weighting, init, alpha)
+
+
+class TestClsHalfStep:
+    def test_near_the_pivot_bound_matches_dense_solve(self):
+        # an explicit inverse is not backward stable: hold it to a dense solve at cond * eps
+        rng = np.random.default_rng(31)
+        k = 8
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        G = (Q * np.logspace(0, -10, k)) @ Q.T
+        G = (G + G.T) / 2
+        solve_spd_multi(G, np.eye(k))  # inside the pivot bound: no ridge retry
+        B = rng.standard_normal((k, 200))
+        X = solvers._cls(G, B, solvers._Penalty(0.0, 0.0, False))
+        oracle = np.maximum(np.linalg.solve(G, B), 0.0).T
+        tol = np.linalg.cond(G) * np.finfo(float).eps
+        assert np.abs(X - oracle).max() <= tol * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("algorithm", ["acls", "ahcls"])
+    def test_w_half_step_returns_c_ordered_w(self, algorithm):
+        # W^T A then reads W without a copy
+        A = rand_sparse(30, 20, density=0.3, seed=32)
+        W0 = np.random.default_rng(33).random((30, 4))
+        config = SolverConfig(k=4, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=3)
+        W, _ = solvers._run_step(sp.csr_array(A), W0, None, config, np.random.default_rng(34))
+        assert W.flags.c_contiguous
+        assert solve(A, config, W0).factors.W.flags.c_contiguous
 
 
 class TestMuStep:
@@ -380,9 +451,9 @@ class TestSolveInvariants:
 
     @pytest.mark.parametrize(
         "algorithm, density",
-        [pytest.param(a, 0.01, id=a) for a in ("acls", "mu", "gdcls")]
+        [pytest.param(a, 0.01, id=a) for a in ALGORITHMS]
         # 150k nonzeros: A is split into row blocks
-        + [pytest.param(a, 0.05, id=f"{a}-split") for a in ("acls", "mu", "gdcls")],
+        + [pytest.param(a, 0.05, id=f"{a}-split") for a in ALGORITHMS],
     )
     def test_working_set_stays_within_nnz_plus_three_factor_copies(self, algorithm, density):
         # memory must scale with nnz(A) + (m+n)k: one CSR copy of A (at most 16 bytes per
@@ -447,8 +518,7 @@ class TestRowBlockProducts:
     def test_split_solve_matches_unsplit(self, algorithm, monkeypatch):
         A = _split_matrix()
         W0 = np.random.default_rng(21).random((A.shape[0], 8))
-        # lambda 0.01: at 0.1 and above AHCLS raises SingularSystem on this random matrix
-        config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.01, lambda_h=0.01, max_iter=12)
+        config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=12)
         split = solve(A, config, W0)
         monkeypatch.setattr(solvers, "_BLOCK_MIN_NNZ", A.nnz)
         serial = solve(A, config, W0)
@@ -511,7 +581,7 @@ from nmfkit.solvers import ALGORITHMS, SolverConfig, solve
 A = sp.random(3000, 1000, density=0.05, format="csc", random_state=np.random.default_rng(19))
 W0 = np.random.default_rng(25).random((3000, 8))
 for algorithm in ALGORITHMS:
-    config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.01, lambda_h=0.01, max_iter=12)
+    config = SolverConfig(k=8, algorithm=algorithm, lambda_w=0.1, lambda_h=0.1, max_iter=12)
     result = solve(A, config, W0)
     factors = result.factors.W.tobytes() + result.factors.H.tobytes()
     print(algorithm, hashlib.sha256(factors).hexdigest())
