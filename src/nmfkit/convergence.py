@@ -95,19 +95,15 @@ def match_columns(W: np.ndarray, W_ref: np.ndarray) -> np.ndarray:
     return perm
 
 
-def angular_measure(
-    W_prev: np.ndarray, W_curr: np.ndarray, rematch: bool = False
-) -> np.ndarray:
+def angular_measure(W_prev: np.ndarray, W_curr: np.ndarray) -> np.ndarray:
     """Per-column angles (degrees) between successive basis iterates.
 
-    By default columns are compared index-wise, with no re-matching (set
-    rematch=True for greedy cosine matching first). A zero column on either
-    side yields 90 degrees so the solver keeps iterating.
+    Columns are compared index-wise; to compare matched columns, permute
+    W_curr by match_columns first. A zero column on either side yields 90
+    degrees so the solver keeps iterating.
     """
     if W_prev.shape != W_curr.shape:
         raise DimensionMismatch(f"shapes {W_prev.shape} and {W_curr.shape} differ")
-    if rematch:
-        W_curr = W_curr[:, match_columns(W_curr, W_prev)]
     np_prev = np.sqrt(np.einsum("ij,ij->j", W_prev, W_prev))
     np_curr = np.sqrt(np.einsum("ij,ij->j", W_curr, W_curr))
     dots = np.einsum("ij,ij->j", W_prev, W_curr)

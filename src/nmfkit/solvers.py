@@ -4,7 +4,9 @@ The four algorithms are one alternating scheme. They differ only in each
 factor's penalty and in whether its half-step is a constrained least-squares
 solve or a multiplicative update, which `_penalties` states once. All share
 one driver, `solve`, which wires initialization, iteration, checkpointed
-convergence evaluation, and a terminal KKT stationarity check.
+convergence evaluation, and a terminal KKT stationarity check. Its one
+`_Products` forms W^T A and A H^T and keeps each half-step's Gram and product
+pair, from which the checkpoints and the KKT check take their residuals.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def _mu(X: np.ndarray, den: np.ndarray, num: np.ndarray) -> np.ndarray:
 
 
 def _half_h(H, WtW, WtA, pen: _Penalty, rng) -> np.ndarray:
-    """New H from W's byproducts WtW = W^T W and WtA = W^T A."""
+    """New H from W's products WtW = W^T W and WtA = W^T A."""
     if pen.multiplicative:
         return _mu(H, WtW @ H, WtA)
     H = _cls(WtW, WtA, pen).T
@@ -232,7 +234,7 @@ def _half_h(H, WtW, WtA, pen: _Penalty, rng) -> np.ndarray:
 
 
 def _half_w(A, W, HHt, AHt, pen: _Penalty, rng) -> np.ndarray:
-    """New W from H's byproducts HHt = H H^T and AHt = A H^T."""
+    """New W from H's products HHt = H H^T and AHt = A H^T."""
     if pen.multiplicative:
         return _mu(W, W @ HHt, AHt)
     W = _cls(HHt, AHt.T, pen)
@@ -244,19 +246,30 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class _RowBlocks:
-    """A's nnz-balanced row blocks and the solve's thread pool that runs their products.
+class _Products:
+    """The products W^T A and A H^T of one solve, and the Gram and product pairs it keeps.
 
-    scipy's CSR x dense kernels release the GIL, so the blocks' products run
-    in parallel. The workers call nothing of this package.
+    With split, a CSR A of at least _ROW_BLOCKS * _BLOCK_MIN_NNZ nonzeros is cut
+    into nnz-balanced row blocks whose products run on a thread pool (scipy's CSR
+    kernels release the GIL; the workers call nothing of this package). Otherwise
+    A is one block, its products run on the calling thread, and A^T is formed once.
+    WtW, WtA come from the initial H; HHt, AHt from the latest W half-step.
     """
 
-    def __init__(self, A: sp.csr_array):
+    def __init__(self, A, split: bool = False):
+        self.WtW = self.WtA = self.HHt = self.AHt = None
+        if not (split and A.format == "csr" and A.nnz >= _ROW_BLOCKS * _BLOCK_MIN_NNZ):
+            self.blocks, self.transposed, self.pool = [A], [A.T], None
+            return
         self.blocks = row_blocks(A, _ROW_BLOCKS)
         self.transposed = [transpose_view(b) for b in self.blocks]
         self.rows = np.cumsum([0] + [b.shape[0] for b in self.blocks]).tolist()
         self.workers = _cpu_count()
         self.pool = ThreadPoolExecutor(self.workers)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def wta(self, W: np.ndarray) -> np.ndarray:
         """W^T A: the blocks' k x n partial products, summed in block order.
@@ -264,6 +277,8 @@ class _RowBlocks:
         A block is submitted only once the partial `workers` blocks before it
         has been summed, so at most `workers` partials are held at a time.
         """
+        if self.pool is None:
+            return np.asarray(self.transposed[0] @ W).T
         rows, count = self.rows, len(self.blocks)
 
         def partial(i):
@@ -278,7 +293,9 @@ class _RowBlocks:
         return total
 
     def aht(self, H: np.ndarray) -> np.ndarray:
-        """A H^T: each block fills its own rows, so the result equals the serial product bit for bit."""
+        """A H^T, m x k without densifying A. Each block fills its own rows, so split equals unsplit."""
+        if self.pool is None:
+            return np.asarray(self.blocks[0] @ H.T)
         HT, rows = np.ascontiguousarray(H.T), self.rows
         out = np.empty((rows[-1], HT.shape[1]))
 
@@ -290,75 +307,70 @@ class _RowBlocks:
 
 
 def _sweep(
-    A, W, H, pens: tuple[_Penalty, _Penalty], rng, byproducts, blocks: _RowBlocks | None
+    A, W, H, pens: tuple[_Penalty, _Penalty], rng, products: _Products | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One alternating sweep: the H half-step from W, then the W half-step from the new H.
 
-    Returns a new W and H, leaving the arguments as they were. A byproducts
-    dict receives the W half-step's HHt and AHt, enough for the residual.
-    Given A's row blocks, the two sparse products run on them.
+    Returns a new W and H, leaving the arguments as they were. products (by
+    default a one-block one) runs the two sparse products. It drops what it
+    held before they are formed, and then keeps the W half-step's HHt and AHt.
     """
     pen_w, pen_h = pens
     if rng is None and not (pen_w.multiplicative and pen_h.multiplicative):
         rng = np.random.default_rng(0)
-    WtA = np.asarray(W.T @ A) if blocks is None else blocks.wta(W)
+    products = products or _Products(A)
+    products.WtW = products.WtA = products.HHt = products.AHt = None
+    WtA = products.wta(W)
     H = _half_h(H, gram(W), WtA, pen_h, rng)
     del WtA
-    HHt = gram(H.T)
-    AHt = np.asarray(A @ H.T) if blocks is None else blocks.aht(H)  # m x k without densifying A
-    W = _half_w(A, W, HHt, AHt, pen_w, rng)
-    if byproducts is not None:
-        byproducts.update(HHt=HHt, AHt=AHt)
-    return W, H
+    products.HHt, products.AHt = gram(H.T), products.aht(H)
+    return _half_w(A, W, products.HHt, products.AHt, pen_w, rng), H
 
 
 def acls_step(
-    A, W, lambda_w: float, lambda_h: float, rng=None, *, byproducts=None, blocks=None
+    A, W, lambda_w: float, lambda_h: float, rng=None, *, products=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One ACLS sweep: ridge-penalized CLS for H, then for W, clipping each."""
     pens = _penalties("acls", W.shape[1], lambda_w, lambda_h)
-    return _sweep(A, W, None, pens, rng, byproducts, blocks)
+    return _sweep(A, W, None, pens, rng, products)
 
 
 def ahcls_step(
     A, W, lambda_w: float, lambda_h: float, alpha_w: float, alpha_h: float, rng=None,
-    *, byproducts=None, blocks=None,
+    *, products=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One AHCLS sweep with Hoyer-targeted ridge beta and all-ones subtraction."""
     pens = _penalties("ahcls", W.shape[1], lambda_w, lambda_h, alpha_w, alpha_h)
-    return _sweep(A, W, None, pens, rng, byproducts, blocks)
+    return _sweep(A, W, None, pens, rng, products)
 
 
-def mu_step(A, W, H, *, byproducts=None, blocks=None) -> tuple[np.ndarray, np.ndarray]:
+def mu_step(A, W, H, *, products=None) -> tuple[np.ndarray, np.ndarray]:
     """One Lee-Seung multiplicative-update sweep (mean-squared-error form).
 
     Zero entries stay zero (the locking property); the epsilon floor only
     guards denominators.
     """
-    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None, byproducts, blocks)
+    return _sweep(A, W, H, _penalties("mu", W.shape[1]), None, products)
 
 
 def gdcls_step(
-    A, W, H, lambda_h: float, rng=None, *, byproducts=None, blocks=None
+    A, W, H, lambda_h: float, rng=None, *, products=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hybrid step: CLS matrix solve for H (as ACLS), multiplicative update for W."""
     pens = _penalties("gdcls", W.shape[1], lambda_h=lambda_h)
-    return _sweep(A, W, H, pens, rng, byproducts, blocks)
+    return _sweep(A, W, H, pens, rng, products)
 
 
-def _run_step(
-    A, W, H, c: SolverConfig, rng, byproducts=None, blocks=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_step(A, W, H, c: SolverConfig, rng, products=None) -> tuple[np.ndarray, np.ndarray]:
     if c.algorithm == "acls":
-        return acls_step(A, W, c.lambda_w, c.lambda_h, rng=rng, byproducts=byproducts, blocks=blocks)
+        return acls_step(A, W, c.lambda_w, c.lambda_h, rng=rng, products=products)
     if c.algorithm == "ahcls":
         return ahcls_step(
-            A, W, c.lambda_w, c.lambda_h, c.alpha_w, c.alpha_h, rng=rng,
-            byproducts=byproducts, blocks=blocks,
+            A, W, c.lambda_w, c.lambda_h, c.alpha_w, c.alpha_h, rng=rng, products=products
         )
     if c.algorithm == "mu":
-        return mu_step(A, W, H, byproducts=byproducts, blocks=blocks)
-    return gdcls_step(A, W, H, c.lambda_h, rng=rng, byproducts=byproducts, blocks=blocks)
+        return mu_step(A, W, H, products=products)
+    return gdcls_step(A, W, H, c.lambda_h, rng=rng, products=products)
 
 
 def _penalty_value(X, pen: _Penalty) -> float:
@@ -386,34 +398,31 @@ def _kkt_residual(X, G, B, pen: _Penalty) -> float:
 
 
 def stationarity_check(
-    A, W, H, tol: float = 1e-6, config: SolverConfig | None = None, *, byproducts=None, blocks=None
+    A, W, H, tol: float = 1e-6, config: SolverConfig | None = None, *, products=None
 ) -> StationarityReport:
     """Projected-gradient KKT residual min(X, grad f) for both factors.
 
     The gradient matches the actually-optimized objective: penalty terms
-    are included when a config is supplied. A byproducts dict holding the
-    HHt and AHt of the sweep that produced H saves recomputing them; they
-    are popped from it, so they are freed once used. blocks are A's row blocks.
+    are included when a config is supplied. products (by default a one-block
+    one) runs the products with A; its HHt and AHt, when they are those of the
+    sweep that produced H, save recomputing them, and are dropped once used.
     """
     pen_w, pen_h = _config_penalties(config)
-    if byproducts is None:
-        res_w = _kkt_residual(W, gram(H.T), np.asarray(A @ H.T), pen_w)
-    else:
-        res_w = _kkt_residual(W, byproducts.pop("HHt"), byproducts.pop("AHt"), pen_w)
-    AtW = np.asarray(A.T @ W) if blocks is None else blocks.wta(W).T
-    res_h = _kkt_residual(H.T, gram(W), AtW, pen_h)
+    products = products or _Products(A)
+    if products.AHt is None:
+        products.HHt, products.AHt = gram(H.T), products.aht(H)
+    res_w = _kkt_residual(W, products.HHt, products.AHt, pen_w)
+    products.HHt = products.AHt = None
+    res_h = _kkt_residual(H.T, gram(W), products.wta(W).T, pen_h)
     return StationarityReport(res_w, res_h, tol, passed=max(res_w, res_h) <= tol)
 
 
-def _initial_h(
-    A, W, config: SolverConfig, rng, byproducts: dict | None = None, blocks=None
-) -> np.ndarray:
-    """H^(0) by one CLS-and-clip step from W^(0), also for an MU H; byproducts receives WtW, WtA."""
+def _initial_h(A, W, config: SolverConfig, rng, products: _Products | None = None) -> np.ndarray:
+    """H^(0) by one CLS-and-clip step from W^(0), also for an MU H; products receives WtW, WtA."""
     pen_h = _config_penalties(config)[1]._replace(multiplicative=False)
-    WtW, WtA = gram(W), np.asarray(W.T @ A) if blocks is None else blocks.wta(W)
-    if byproducts is not None:
-        byproducts.update(WtW=WtW, WtA=WtA)
-    return _half_h(None, WtW, WtA, pen_h, rng)
+    products = products or _Products(A)
+    products.WtW, products.WtA = gram(W), products.wta(W)
+    return _half_h(None, products.WtW, products.WtA, pen_h, rng)
 
 
 def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResult:
@@ -427,15 +436,15 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
     The solve runs under one thread budget. Both bundled OpenBLAS copies are
     held at one thread, a process-global setting that is restored when solve
     returns or raises; where the copies cannot be controlled, BLAS is left as
-    it is. A with at least 4 x 32768 nonzeros is cut into 4 row blocks whose
-    sparse products run on a pool of one thread per available core.
+    it is. Only an A of 4 x 32768 nonzeros or more has its sparse products run
+    on a pool, of one thread per core.
     """
     m, n = A.shape
     if config.k > min(m, n):
         raise InvalidRank(f"k={config.k} exceeds min{A.shape}={min(m, n)}")
     saved = blas_threads()
     set_blas_threads((1,) * len(saved))
-    blocks = None
+    products = None
     try:
         rng = np.random.default_rng(config.seed)
         if isinstance(init, np.ndarray):
@@ -445,36 +454,32 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
         else:
             W = initialize(A, config.k, init)
         A = sp.csr_array(A)
-        if A.nnz >= _ROW_BLOCKS * _BLOCK_MIN_NNZ:
-            blocks = _RowBlocks(A)
+        products = _Products(A, split=True)
         trace_ata = trace_frob_sq(A)
-        byproducts = {}
-        H = _initial_h(A, W, config, rng, byproducts, blocks)
+        H = _initial_h(A, W, config, rng, products)
 
         t0 = time.perf_counter()
         trace = ConvergenceTrace()
         trace.append(
             Checkpoint(
                 iteration=0,
-                objective_sq=residual_trace(A, W, H, byproducts["WtW"], byproducts["WtA"], trace_ata),
+                objective_sq=residual_trace(A, W, H, products.WtW, products.WtA, trace_ata),
                 theta_max_deg=None,
                 elapsed_s=time.perf_counter() - t0,
             )
         )
-        del byproducts
 
         termination = "maxiter"
         iterations_run = config.max_iter
         for it in range(1, config.max_iter + 1):
-            if it % config.check_interval and it != config.max_iter:
-                W, H = _run_step(A, W, H, config, rng, blocks=blocks)
-                continue
             # steps return a new W, so W_prev holds the previous iterate without a copy
-            W_prev, byproducts = W, {}
-            W, H = _run_step(A, W, H, config, rng, byproducts, blocks)
+            W_prev = W
+            W, H = _run_step(A, W, H, config, rng, products)
+            if it % config.check_interval and it != config.max_iter:
+                continue
             thetas = angular_measure(W_prev, W)
             del W_prev
-            obj = residual_trace(A.T, H.T, W.T, byproducts["HHt"], byproducts["AHt"].T, trace_ata)
+            obj = residual_trace(A.T, H.T, W.T, products.HHt, products.AHt.T, trace_ata)
             trace.append(
                 Checkpoint(
                     iteration=it,
@@ -489,15 +494,13 @@ def solve(A, config: SolverConfig, init: InitStrategy | np.ndarray) -> SolveResu
                     termination = reason
                     iterations_run = it
                     break
-            if it < config.max_iter:
-                # the final iteration is a checkpoint, and its byproducts serve the KKT check
-                del byproducts
 
-        stationarity = stationarity_check(A, W, H, config=config, byproducts=byproducts, blocks=blocks)
+        # the last sweep's HHt and AHt serve the KKT check
+        stationarity = stationarity_check(A, W, H, config=config, products=products)
     finally:
         set_blas_threads(saved)
-        if blocks is not None:
-            blocks.pool.shutdown()
+        if products is not None:
+            products.close()
     return SolveResult(
         factors=FactorPair(W=W, H=H, rank=config.k),
         trace=trace,

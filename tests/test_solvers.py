@@ -23,7 +23,7 @@ from nmfkit.solvers import (
     ALGORITHMS,
     SolverConfig,
     _repair_zero_cols,
-    _RowBlocks,
+    _Products,
     acls_step,
     ahcls_beta,
     ahcls_step,
@@ -478,23 +478,59 @@ def _split_matrix():
 
 class TestRowBlockProducts:
     @pytest.mark.parametrize("empty_rows", [False, True])
-    def test_products_match_serial(self, empty_rows):
+    def test_products_match_serial(self, empty_rows, monkeypatch):
         A = _split_matrix()
         if empty_rows:
             empty = sp.csr_array((500, 1000))
             A = sp.csr_array(sp.vstack([empty, A[:1500], empty, empty[:200]]))
+        # the stacked matrix holds 75k nonzeros, under the threshold, so the split is forced
+        monkeypatch.setattr(solvers, "_BLOCK_MIN_NNZ", A.nnz // solvers._ROW_BLOCKS)
         rng = np.random.default_rng(20)
         W, H = rng.random((A.shape[0], 10)), rng.random((10, A.shape[1]))
-        blocks = _RowBlocks(A)
+        products = _Products(A, split=True)
         try:
+            assert len(products.blocks) == solvers._ROW_BLOCKS and products.pool is not None
             # each block fills its own rows of A H^T, so the sums are the serial ones
-            assert np.array_equal(blocks.aht(H), A @ H.T)
-            assert np.array_equal(blocks.aht(np.asfortranarray(H)), A @ H.T)
+            assert np.array_equal(products.aht(H), A @ H.T)
+            assert np.array_equal(products.aht(np.asfortranarray(H)), A @ H.T)
             ref = np.asarray(W.T @ A)
             for W_any in (W, np.asfortranarray(W)):
-                assert np.abs(blocks.wta(W_any) - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.abs(products.wta(W_any) - ref).max() <= 1e-13 * np.abs(ref).max()
         finally:
-            blocks.pool.shutdown()
+            products.close()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_one_block_products_are_the_plain_products(self, fmt, order):
+        # a CSC A never splits, and a CSR A under the threshold stays one block
+        A = _split_matrix() if fmt == "csc" else rand_sparse(300, 200, density=0.1, seed=41)
+        A = sp.csr_array(A) if fmt == "csr" else sp.csc_array(A)
+        rng = np.random.default_rng(42)
+        W = np.asarray(rng.random((A.shape[0], 7)), order=order)
+        H = np.asarray(rng.random((7, A.shape[1])), order=order)
+        products = _Products(A, split=True)
+        assert len(products.blocks) == 1 and products.blocks[0] is A and products.pool is None
+        assert np.array_equal(products.wta(W), W.T @ A)
+        assert np.array_equal(products.wta(W).T, A.T @ W)
+        assert np.array_equal(products.aht(H), A @ H.T)
+        products.close()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_block_aht_allocates_only_its_output(self, order):
+        # scipy's CSR kernel reads H^T in C order: it copies a C-ordered (MU) H once,
+        # and an F-ordered (CLS) H not at all; aht itself adds nothing
+        m, n, k = 2000, 1500, 20
+        A = sp.random(m, n, density=0.01, format="csr", random_state=np.random.default_rng(43))
+        H = np.asarray(np.random.default_rng(44).random((k, n)), order=order)
+        products = _Products(A)
+        tracemalloc.start()
+        try:
+            out = products.aht(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (m, k)
+        assert peak <= 8 * m * k + (8 * k * n if order == "C" else 0) + 4096
 
     def test_products_hold_with_more_workers_than_cores(self, monkeypatch):
         # workers write disjoint rows of one array; a lost or misplaced write breaks equality
@@ -504,14 +540,15 @@ class TestRowBlockProducts:
         W, H = rng.random((A.shape[0], 6)), rng.random((6, A.shape[1]))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        blocks = _RowBlocks(A)
+        products = _Products(A, split=True)
         try:
-            wta = blocks.wta(W)
+            assert products.pool is not None
+            wta = products.wta(W)
             for _ in range(20):
-                assert np.array_equal(blocks.aht(H), A @ H.T)
-                assert np.array_equal(blocks.wta(W), wta)
+                assert np.array_equal(products.aht(H), A @ H.T)
+                assert np.array_equal(products.wta(W), wta)
         finally:
-            blocks.pool.shutdown()
+            products.close()
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
