@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NonpositiveBaseline
+from .errors import InvalidConfig, NonpositiveBaseline
 from .initializers import InitStrategy, initialize
 from .linalg import truncated_svd
 from .solvers import SolveResult, SolverConfig, objective_sq, solve
@@ -140,38 +140,41 @@ def compare_inits(
     """Error(t) at the requested iteration checkpoints per (strategy, seed).
 
     Records W0 build time and storage alongside, mirroring the usual
-    initializer-comparison table layout.
+    initializer-comparison table layout. Every option is checked before the
+    SVD baseline is computed.
     """
     A = sp.csc_array(A)
     strategies = strategies or ["random", "acol"]
+    inits = [InitStrategy(name=name, p=p, pool_fraction=pool_fraction) for name in strategies]
     seeds = seeds if seeds is not None else list(range(10))
     checkpoints = sorted(checkpoints or [0, 10, 20, 30])
-    svd_err = svd_baseline_error(A, k)
+    if checkpoints[0] < 0:
+        raise InvalidConfig(f"checkpoints must be >= 0, got {checkpoints[0]}")
     max_t = max(checkpoints)
-    interval = _checkpoint_interval(checkpoints)
+    config = SolverConfig(
+        k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
+        max_iter=max(max_t, 1), check_interval=_checkpoint_interval(checkpoints),
+    )
+    svd_err = svd_baseline_error(A, k)
     report = BenchReport()
-    for name in strategies:
+    for init in inits:
         for seed in seeds:
-            strat = InitStrategy(name=name, p=p, pool_fraction=pool_fraction, seed=seed)
+            strat = dataclasses.replace(init, seed=seed)
             t0 = time.perf_counter()
             W0 = initialize(A, k, strat)
             build_s = time.perf_counter() - t0
-            config = SolverConfig(
-                k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
-                max_iter=max(max_t, 1), check_interval=interval, seed=seed,
-            )
-            result = solve(A, config, W0)
+            result = solve(A, dataclasses.replace(config, seed=seed), W0)
             errors = {
                 t: _error_from_objective(result.trace.objective_at(t), svd_err) for t in checkpoints
             }
             report.rows.append(
                 BenchRow(
                     algorithm=algorithm,
-                    init=name,
+                    init=init.name,
                     seed=seed,
                     iterations=result.iterations_run if max_t else 0,
                     wall_s=result.trace.checkpoints[-1].elapsed_s,
-                    w0_storage_bytes=w0_storage_bytes(W0, name),
+                    w0_storage_bytes=w0_storage_bytes(W0, init.name),
                     w0_build_s=build_s,
                     errors=errors,
                 )

@@ -1,10 +1,10 @@
 """Command-line interface: build-matrix, factorize, topics, benchmark,
 compare-inits, and fetch-datasets.
 
-Exit codes: 0 success; 2 usage, including out-of-range solver options;
-3 data error (any NmfError that is not numerical, or a missing file, such as
-a dataset archive not yet placed in --dest); 4 numerical failure
-(NumericalError). Every subcommand writes a manifest.json sufficient to
+Exit codes: 0 success; 2 usage, including out-of-range solver, initializer
+and benchmark options; 3 data error (any NmfError that is not numerical, or a
+missing file, such as a dataset archive not yet placed in --dest); 4
+numerical failure (NumericalError). Every subcommand writes a manifest.json sufficient to
 reproduce the run.
 """
 
@@ -131,6 +131,10 @@ def cmd_topics(args) -> int:
 
 
 def _bench_common(args, algorithms: list[str]) -> int:
+    try:
+        checkpoints = [int(t) for t in args.checkpoints.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"bad checkpoint list {args.checkpoints!r}: {exc}") from exc
     A = read_sparse(args.matrix)
     report = BenchReport()
     for algorithm in algorithms:
@@ -140,7 +144,7 @@ def _bench_common(args, algorithms: list[str]) -> int:
             algorithm=algorithm,
             strategies=args.inits.split(","),
             seeds=list(range(args.seeds)),
-            checkpoints=[int(t) for t in args.checkpoints.split(",")],
+            checkpoints=checkpoints,
             lambda_w=args.lambda_w,
             lambda_h=args.lambda_h,
             p=args.init_p,

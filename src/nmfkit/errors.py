@@ -10,7 +10,7 @@ class NumericalError(NmfError):
 
 
 class InvalidConfig(ValueError):
-    """A solver setting is out of range; the CLI exits 2 (usage)."""
+    """A solver, initializer or benchmark setting is out of range; the CLI exits 2 (usage)."""
 
 
 class DimensionMismatch(NmfError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateInput, DimensionMismatch, PTooLarge
+from .errors import DimensionMismatch, InvalidConfig, PTooLarge
 from .linalg import (
     centroid_decomposition,
     cluster_centroids,
@@ -46,7 +46,13 @@ class InitStrategy:
 
     def __post_init__(self):
         if self.name not in STRATEGY_NAMES:
-            raise ValueError(f"unknown strategy {self.name!r}; choose from {STRATEGY_NAMES}")
+            raise InvalidConfig(f"unknown strategy {self.name!r}; choose from {STRATEGY_NAMES}")
+        if self.p < 1:
+            raise InvalidConfig("p must be >= 1")
+        if not 0 < self.pool_fraction <= 1:
+            raise InvalidConfig("pool_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 def init_random(m: int, k: int, seed: int = 0) -> np.ndarray:
@@ -114,16 +120,12 @@ def init_random_c(
     return _draw_averages(A, k, p, pool, seed)
 
 
-def init_centroid(A, k: int, seed: int = 0) -> np.ndarray:
-    """W columns = centroid decomposition of A's columns."""
-    return centroid_decomposition(A, k, seed=seed)
-
-
 def init_svd_centroid(A, V: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Cluster the n rows of the SVD factor V, then average A's columns per cluster.
 
     Clusters k-dimensional points instead of A's m-dimensional columns. Each
-    W column is the unit-normalized average of the documents in one cluster.
+    W column is the unit-normalized average of the documents in one cluster;
+    a document whose row of V is zero joins none.
     """
     n = A.shape[1]
     V = np.asarray(V, dtype=float)
@@ -131,11 +133,7 @@ def init_svd_centroid(A, V: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         raise DimensionMismatch(f"V has {V.shape[0]} rows but A has {n} columns")
     if V.shape[1] != k:
         raise DimensionMismatch(f"V has {V.shape[1]} columns but k={k}")
-    points = V.T  # rows of V as column points, k x n
-    keep = np.flatnonzero(np.linalg.norm(points, axis=0) > 0)
-    _, assign_kept = spherical_kmeans(points[:, keep], k, seed=seed)
-    assign = np.full(n, -1)
-    assign[keep] = assign_kept
+    _, assign = spherical_kmeans(V.T, k, seed=seed)  # rows of V as column points
     return cluster_centroids(A, assign, k)
 
 
@@ -158,7 +156,7 @@ def init_cooccurrence(A, k: int, seed: int = 0) -> np.ndarray:
     as the driver of W. Spherical k-means sees C only through products with
     A and A^T. C's column norms come from one row block C[J, :] = A[J] A^T at
     a time, of about max(nnz(A) + (m+n) k, _NORM_BLOCK_FLOOR) values. Zero
-    rows of A give zero columns of C, which are left out.
+    rows of A give zero columns of C, which spherical k-means leaves out.
     """
     A, At = sp.csr_array(A), sp.csc_array(A).T  # At is a CSR on the CSC arrays
     m, n = A.shape
@@ -172,11 +170,7 @@ def init_cooccurrence(A, k: int, seed: int = 0) -> np.ndarray:
         sq_norms.append(C.sum(axis=1))
         del C  # before the next block is formed
     norms = np.sqrt(np.concatenate(sq_norms))
-    keep = np.flatnonzero(norms > 0)
-    if keep.size < k:
-        raise DegenerateInput(f"only {keep.size} nonzero columns available for k={k} clusters")
-    rows = A if keep.size == m else A[keep]
-    return spherical_kmeans(_Product(rows, At).T, k, seed=seed, norms=norms[keep])[0]
+    return spherical_kmeans(_Product(A, At).T, k, seed=seed, norms=norms)[0]
 
 
 def initialize(A, k: int, strategy: InitStrategy) -> np.ndarray:
@@ -191,7 +185,7 @@ def initialize(A, k: int, strategy: InitStrategy) -> np.ndarray:
             A, k, p=strategy.p, seed=strategy.seed, candidate_fraction=strategy.pool_fraction
         )
     if strategy.name == "centroid":
-        return init_centroid(A, k, seed=strategy.seed)
+        return centroid_decomposition(A, k, seed=strategy.seed)
     if strategy.name == "svd-centroid":
         V = strategy.V
         if V is None:

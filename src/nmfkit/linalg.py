@@ -171,30 +171,35 @@ def spherical_kmeans(
     tol: float = 1e-6,
     norms=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster the columns of X on cosine similarity.
+    """Cluster the nonzero columns of X on cosine similarity.
 
     X is a dense or sparse matrix, or any object with `shape`, `X @ Z` and
-    `X.T @ Z` when its column norms are given. Columns must be nonzero; each
-    enters the centroid sums and its own similarity scaled by 1/norm, so no
-    normalized copy of X is made (a positive scale of a row of similarities
-    leaves its argmax where it is). Returns (centroids dims x k, assignment
-    length ncols). Empty clusters are re-seeded with the column farthest
-    from its assigned centroid. Deterministic per seed (argmax ties break low).
+    `X.T @ Z` when its column norms are given. Each column enters the centroid
+    sums and its own similarity scaled by 1/norm, so no normalized copy of X is
+    made. A zero column joins no cluster: assignment -1, never drawn or
+    re-seeded; fewer than k nonzero columns are degenerate. Returns (centroids
+    dims x k, assignment length ncols). An empty cluster is re-seeded with the
+    column farthest from its centroid. Deterministic per seed (argmax ties
+    break low).
     """
-    dims, ncols = X.shape
-    if k > ncols:
-        raise DegenerateInput(f"k={k} exceeds the {ncols} available columns")
-    inv = 1.0 / (column_norms(X) if norms is None else norms)
+    ncols = X.shape[1]
+    norms = column_norms(X) if norms is None else norms
+    zero = norms == 0
+    keep = np.flatnonzero(~zero)
+    if keep.size < k:
+        raise DegenerateInput(f"only {keep.size} nonzero columns available for k={k} clusters")
+    inv = np.divide(1.0, norms, out=np.zeros(ncols), where=~zero)
     XT = X.T  # one transposed view, not one per iteration
     rng = np.random.default_rng(seed)
     assign = np.full(ncols, -1)
-    assign[rng.choice(ncols, size=k, replace=False)] = np.arange(k)
+    assign[keep[rng.choice(keep.size, size=k, replace=False)]] = np.arange(k)
     centroids = cluster_centroids(X, assign, k, inv)
     for _ in range(max_iter):
         sims = np.asarray(XT @ centroids)  # ncols x k, each row times its column's norm
         assign = np.argmax(sims, axis=1)
         own_sim = sims[np.arange(ncols), assign] * inv
-        for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
+        assign[zero], own_sim[zero] = -1, np.inf
+        for c in np.flatnonzero(np.bincount(assign[keep], minlength=k) == 0):
             worst = int(np.argmin(own_sim))
             assign[worst] = c
             own_sim[worst] = 1.0
@@ -207,22 +212,9 @@ def spherical_kmeans(
 
 
 def centroid_decomposition(M, k: int, seed: int = 0) -> np.ndarray:
-    """k centroid vectors (dims x k) of M's columns via spherical k-means.
-
-    A sparse M stays sparse and is never modified. Zero columns are excluded
-    from clustering; if fewer than k nonzero columns remain the input is
-    degenerate. Nonnegative input yields nonnegative centroids.
-    """
+    """k spherical k-means centroids (dims x k) of M's nonzero columns; a sparse M is not copied."""
     X = M if sp.issparse(M) else np.asarray(M, dtype=float)
-    norms = column_norms(X)
-    keep = norms > 0
-    if int(keep.sum()) < k:
-        raise DegenerateInput(
-            f"only {int(keep.sum())} nonzero columns available for k={k} clusters"
-        )
-    if not keep.all():
-        X, norms = X[:, keep], norms[keep]
-    return spherical_kmeans(X, k, seed=seed, norms=norms)[0]
+    return spherical_kmeans(X, k, seed=seed)[0]
 
 
 def _on_arrays(container, shape, data, indices, indptr):

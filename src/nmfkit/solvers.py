@@ -98,7 +98,9 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.k < 1:
-            raise InvalidRank("k must be >= 1")
+            raise InvalidConfig("k must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         if self.max_iter < 1:
             raise InvalidConfig("max_iter must be >= 1")
         if self.lambda_w < 0 or self.lambda_h < 0:

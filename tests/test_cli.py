@@ -148,6 +148,8 @@ def test_exit_code_by_error_class(error, monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [
     ["--lambda-w", "-1"], ["--alpha-h", "2"], ["--check-interval", "0"], ["--max-iter", "0"],
+    ["--init", "acol", "--init-p", "0"], ["--init-p", "-2"], ["--init-seed", "-1"],
+    ["--seed", "-1"], ["--k", "0"], ["--init-pool-fraction", "0"],
 ])
 def test_out_of_range_solver_option_is_usage_error(option, matrix_path, capsys):
     assert main(["factorize", "--matrix", str(matrix_path), "--k", "2", *option]) == 2
@@ -155,12 +157,18 @@ def test_out_of_range_solver_option_is_usage_error(option, matrix_path, capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
-def test_benchmark_negative_lambda_is_usage_error(matrix_path, tmp_path, capsys):
+@pytest.mark.parametrize("option", [
+    ["--lambda-h", "-0.5"], ["--inits", "bogus"], ["--checkpoints", "0,x"],
+    ["--checkpoints", "-5"], ["--k", "0"],
+])
+def test_benchmark_negative_lambda_is_usage_error(option, matrix_path, tmp_path, capsys):
     assert main([
         "compare-inits", "--matrix", str(matrix_path), "--k", "2", "--inits", "acol",
-        "--seeds", "1", "--checkpoints", "0", "--init-p", "3", "--lambda-h", "-0.5",
-        "--out", str(tmp_path / "r.csv"),
+        "--seeds", "1", "--checkpoints", "0", "--init-p", "3",
+        "--out", str(tmp_path / "r.csv"), *option,
     ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_fetch_datasets_missing_archive_is_data_error(tmp_path, capsys):

@@ -12,7 +12,6 @@ from nmfkit.errors import DegenerateInput, PTooLarge
 from nmfkit.initializers import (
     STRATEGY_NAMES,
     InitStrategy,
-    init_centroid,
     init_cooccurrence,
     init_random,
     init_random_acol,
@@ -144,14 +143,14 @@ class TestCentroid:
         dense[0, 0:3] = 2.0
         dense[2, 3:6] = 3.0
         dense[4, 6:9] = 1.5
-        W = init_centroid(sp.csc_array(dense), 3, seed=0)
+        W = centroid_decomposition(sp.csc_array(dense), 3, seed=0)
         cols = {tuple(np.round(W[:, j], 12)) for j in range(3)}
         e = np.eye(5)
         assert cols == {tuple(e[:, 0]), tuple(e[:, 2]), tuple(e[:, 4])}
 
     def test_nonnegative_unit_columns(self):
         A = rand_sparse(12, 30, seed=7)
-        W = init_centroid(A, 4, seed=0)
+        W = centroid_decomposition(A, 4, seed=0)
         assert W.min() >= 0.0
         assert np.allclose(np.linalg.norm(W, axis=0), 1.0, atol=1e-10)
 
@@ -180,6 +179,17 @@ class TestSvdCentroid:
         # exactly colinear with the average of a group containing both
         sims = W.T @ dense[:, 0] / np.linalg.norm(dense[:, 0])
         assert sims.max() > 0.9
+
+    def test_zero_rows_of_v_join_no_cluster(self):
+        # oracle: the documents whose rows of V are nonzero, clustered alone
+        A = rand_sparse(12, 10, density=0.6, seed=16)
+        V = truncated_svd(A, 3, seed=0).V
+        V[[2, 6]] = 0.0
+        keep = np.setdiff1d(np.arange(10), [2, 6])
+        for seed in range(5):
+            want = init_svd_centroid(A[:, keep], V[keep], 3, seed=seed)
+            got = init_svd_centroid(A, V, 3, seed=seed)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 class TestCooccurrence:

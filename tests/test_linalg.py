@@ -367,6 +367,41 @@ class TestSparseKmeans:
         assert not W[:, 2].any()
 
 
+class TestZeroColumns:
+    @staticmethod
+    def _with_zero_columns(repeated):
+        # repeated: 3 directions over 30 columns, so k=4 re-seeds an empty cluster
+        if repeated:
+            dense = rand_sparse(20, 3, density=0.5, seed=1).toarray()[:, np.arange(30) % 3]
+        else:
+            dense = rand_sparse(20, 30, density=0.4, seed=15).toarray()
+        dense[:, [0, 7, 8, 29]] = 0.0
+        return dense
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    @pytest.mark.parametrize("fmt", ["csc", "csr", "dense"])
+    def test_match_a_run_without_them(self, fmt, repeated):
+        # oracle: the same clustering of the nonzero columns alone
+        dense = self._with_zero_columns(repeated)
+        keep = np.flatnonzero(dense.any(axis=0))
+        form = np.asarray if fmt == "dense" else lambda M: sp.csc_array(M).asformat(fmt)
+        for seed in range(5):
+            C, assign = spherical_kmeans(form(dense), 4, seed=seed)
+            C_kept, assign_kept = spherical_kmeans(form(dense[:, keep]), 4, seed=seed)
+            assert np.array_equal(np.flatnonzero(assign == -1), [0, 7, 8, 29])
+            assert np.array_equal(assign[keep], assign_kept)
+            # a dense product's round-off may move with its inner dimension
+            np.testing.assert_allclose(C, C_kept, rtol=0, atol=1e-15 if fmt == "dense" else 0)
+
+    @pytest.mark.parametrize("given_norms", [False, True])
+    def test_too_few_nonzero_columns_is_degenerate(self, given_norms):
+        X = np.zeros((4, 5))
+        X[0, 0] = X[1, 3] = 1.0
+        norms = column_norms(X) if given_norms else None
+        with pytest.raises(DegenerateInput, match="only 2 nonzero columns available for k=3"):
+            spherical_kmeans(X, 3, norms=norms)
+
+
 class TestSphericalKmeansOracle:
     def test_matches_independent_clustering_objective(self):
         # oracle: sklearn k-means on the normalized columns finds the same
