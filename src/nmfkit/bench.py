@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +129,7 @@ def _checkpoint_interval(checkpoints: list[int]) -> int:
 def compare_inits(
     A,
     k: int,
-    algorithm: str = "acls",
+    algorithms: Sequence[str] = ("acls",),
     strategies: list[str] | None = None,
     seeds: list[int] | None = None,
     checkpoints: list[int] | None = None,
@@ -137,48 +138,58 @@ def compare_inits(
     p: int = 20,
     pool_fraction: float = 0.2,
 ) -> BenchReport:
-    """Error(t) at the requested iteration checkpoints per (strategy, seed).
+    """Error(t) at the requested iteration checkpoints per (algorithm, strategy, seed).
 
     Records W0 build time and storage alongside, mirroring the usual
-    initializer-comparison table layout. Every option is checked before the
-    SVD baseline is computed.
+    initializer-comparison table layout. The SVD baseline is computed once,
+    and each (strategy, seed) W0 is built, timed and measured once and then
+    solved by every algorithm, so its w0_build_s and w0_storage_bytes repeat
+    across the algorithm rows. Every option is checked before the SVD
+    baseline is computed.
     """
     A = sp.csc_array(A)
     strategies = strategies or ["random", "acol"]
     inits = [InitStrategy(name=name, p=p, pool_fraction=pool_fraction) for name in strategies]
     seeds = seeds if seeds is not None else list(range(10))
+    if not seeds or min(seeds) < 0:
+        raise InvalidConfig(f"seeds must be a nonempty list of integers >= 0, got {seeds}")
     checkpoints = sorted(checkpoints or [0, 10, 20, 30])
     if checkpoints[0] < 0:
         raise InvalidConfig(f"checkpoints must be >= 0, got {checkpoints[0]}")
     max_t = max(checkpoints)
-    config = SolverConfig(
-        k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
-        max_iter=max(max_t, 1), check_interval=_checkpoint_interval(checkpoints),
-    )
+    configs = [
+        SolverConfig(
+            k=k, algorithm=algorithm, lambda_w=lambda_w, lambda_h=lambda_h,
+            max_iter=max(max_t, 1), check_interval=_checkpoint_interval(checkpoints),
+        )
+        for algorithm in algorithms
+    ]
     svd_err = svd_baseline_error(A, k)
     report = BenchReport()
     for init in inits:
         for seed in seeds:
-            strat = dataclasses.replace(init, seed=seed)
             t0 = time.perf_counter()
-            W0 = initialize(A, k, strat)
+            W0 = initialize(A, k, dataclasses.replace(init, seed=seed))
             build_s = time.perf_counter() - t0
-            result = solve(A, dataclasses.replace(config, seed=seed), W0)
-            errors = {
-                t: _error_from_objective(result.trace.objective_at(t), svd_err) for t in checkpoints
-            }
-            report.rows.append(
-                BenchRow(
-                    algorithm=algorithm,
-                    init=init.name,
-                    seed=seed,
-                    iterations=result.iterations_run if max_t else 0,
-                    wall_s=result.trace.checkpoints[-1].elapsed_s,
-                    w0_storage_bytes=w0_storage_bytes(W0, init.name),
-                    w0_build_s=build_s,
-                    errors=errors,
+            storage = w0_storage_bytes(W0, init.name)
+            for config in configs:
+                result = solve(A, dataclasses.replace(config, seed=seed), W0)
+                errors = {
+                    t: _error_from_objective(result.trace.objective_at(t), svd_err)
+                    for t in checkpoints
+                }
+                report.rows.append(
+                    BenchRow(
+                        algorithm=config.algorithm,
+                        init=init.name,
+                        seed=seed,
+                        iterations=result.iterations_run if max_t else 0,
+                        wall_s=result.trace.checkpoints[-1].elapsed_s,
+                        w0_storage_bytes=storage,
+                        w0_build_s=build_s,
+                        errors=errors,
+                    )
                 )
-            )
     return report
 
 
@@ -193,7 +204,7 @@ def multi_restart(
 ) -> SolveResult:
     """Best-of-n restarts; all per-restart seeds derive from config.seed."""
     if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
+        raise InvalidConfig("n_restarts must be >= 1")
     init = init or InitStrategy(name="random")
     # restart 0 is the plain solve; later restarts reseed from the master seed
     derived = np.random.SeedSequence(config.seed).generate_state(n_restarts)

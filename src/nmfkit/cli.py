@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchReport, compare_inits
+from .bench import compare_inits
 from .convergence import AngularTol, FrobeniusTol, MaxIterOnly, match_columns
 from .corpus import WEIGHTINGS, Vocabulary, build_matrix, top_terms
 from .datasets import DATASETS, fetch
@@ -130,43 +130,29 @@ def cmd_topics(args) -> int:
     return 0
 
 
-def _bench_common(args, algorithms: list[str]) -> int:
+def cmd_benchmark(args) -> int:
     try:
         checkpoints = [int(t) for t in args.checkpoints.split(",")]
     except ValueError as exc:
         raise InvalidConfig(f"bad checkpoint list {args.checkpoints!r}: {exc}") from exc
-    A = read_sparse(args.matrix)
-    report = BenchReport()
-    for algorithm in algorithms:
-        part = compare_inits(
-            A,
-            args.k,
-            algorithm=algorithm,
-            strategies=args.inits.split(","),
-            seeds=list(range(args.seeds)),
-            checkpoints=checkpoints,
-            lambda_w=args.lambda_w,
-            lambda_h=args.lambda_h,
-            p=args.init_p,
-        )
-        report.rows.extend(part.rows)
+    report = compare_inits(
+        read_sparse(args.matrix),
+        args.k,
+        algorithms=args.algorithms.split(","),
+        strategies=args.inits.split(","),
+        seeds=list(range(args.seeds)),
+        checkpoints=checkpoints,
+        lambda_w=args.lambda_w,
+        lambda_h=args.lambda_h,
+        p=args.init_p,
+    )
     report.write_csv(args.out)
     _write_manifest(Path(args.out).parent, "benchmark", args, [args.matrix])
     print(f"wrote {args.out} ({len(report.rows)} rows)")
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    return _bench_common(args, args.algorithms.split(","))
-
-
-def cmd_compare_inits(args) -> int:
-    return _bench_common(args, [args.algorithm])
-
-
 def cmd_fetch_datasets(args) -> int:
-    if args.name not in DATASETS:
-        raise InvalidConfig(f"unknown dataset {args.name!r}; available: {', '.join(sorted(DATASETS))}")
     matrix_path, vocab_path = fetch(args.name, args.dest, weighting=args.weighting)
     _write_manifest(Path(args.dest), "fetch-datasets", args, [matrix_path, vocab_path])
     print(f"{args.name}: {matrix_path} and {vocab_path}")
@@ -234,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-inits", help="Error(t) table across initializers for one algorithm")
     _add_bench_options(p)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="acls")
-    p.set_defaults(func=cmd_compare_inits)
+    p.add_argument("--algorithm", dest="algorithms", choices=ALGORITHMS, default="acls")
+    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("fetch-datasets", help="convert a downloaded benchmark corpus archive")
     p.add_argument("name", help=f"one of: {', '.join(sorted(DATASETS))}")

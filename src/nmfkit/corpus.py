@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyCorpus, EmptyDocumentWarning
+from .errors import EmptyCorpus, EmptyDocumentWarning, InvalidConfig
 from .mmio import read_vocab, write_vocab
 
 WEIGHTINGS = ("tf", "tfidf", "logent")
@@ -78,7 +78,7 @@ def _weight(counts: sp.csc_array, weighting: str) -> sp.csc_array:
         global_w = np.where(even, 0.0, 1.0 + entropy / math.log(n)) if n > 1 else np.ones(m)
         data = np.log1p(counts.data) * global_w[term]
     else:
-        raise ValueError(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")
+        raise InvalidConfig(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")
     out = sp.csc_array((data, counts.indices, counts.indptr), shape=(m, n))
     out.eliminate_zeros()
     return out

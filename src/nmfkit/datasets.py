@@ -16,6 +16,7 @@ import tarfile
 from pathlib import Path
 
 from .corpus import build_matrix_from_texts
+from .errors import InvalidConfig
 from .mmio import write_sparse
 
 DATASETS = {
@@ -87,7 +88,7 @@ def fetch(name: str, dest_dir, weighting: str = "tfidf", min_df: int = 2) -> tup
     not read (cache hit). A missing archive raises FileNotFoundError.
     """
     if name not in DATASETS:
-        raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
+        raise InvalidConfig(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
     dest_dir = Path(dest_dir)
     dest_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = dest_dir / "matrix.mtx"

@@ -102,7 +102,7 @@ def test_criterion_05_initializer_quality_ordering():
     A, _ = mini_matrix("tf")
     report = compare_inits(
         A, 8,
-        algorithm="acls",
+        algorithms=("acls",),
         strategies=["random", "acol", "centroid", "svd-centroid"],
         seeds=list(range(10)),
         checkpoints=[0, 10, 30],

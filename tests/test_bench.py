@@ -14,9 +14,10 @@ from nmfkit.bench import (
     w0_storage_bytes,
 )
 from nmfkit.convergence import MaxIterOnly
-from nmfkit.errors import NonpositiveBaseline
-from nmfkit.initializers import InitStrategy
-from nmfkit.solvers import SolverConfig, solve
+from nmfkit.corpus import mini_matrix
+from nmfkit.errors import InvalidConfig, NonpositiveBaseline
+from nmfkit.initializers import STRATEGY_NAMES, InitStrategy
+from nmfkit.solvers import ALGORITHMS, SolverConfig, solve
 
 
 class TestRelativeError:
@@ -130,8 +131,38 @@ class TestCompareInits:
         )
         assert set(report.rows[0].errors) == {0, 5, 10}
 
+    def test_shared_w0_matches_one_call_per_algorithm(self):
+        # one baseline and one W0 per (strategy, seed) serve every algorithm; a solve
+        # that wrote into the shared W0 would change the algorithms solved after it
+        A, _ = mini_matrix("tf")
+        kwargs = dict(strategies=list(STRATEGY_NAMES), seeds=[0, 1], checkpoints=[0, 5, 10],
+                      lambda_w=0.1, lambda_h=0.1, p=3)
+        shared = compare_inits(A, 8, algorithms=ALGORITHMS, **kwargs)
+        single = {
+            (row.algorithm, row.init, row.seed): row
+            for algorithm in ALGORITHMS
+            for row in compare_inits(A, 8, algorithms=[algorithm], **kwargs).rows
+        }
+        assert len(shared.rows) == len(single) == len(ALGORITHMS) * len(STRATEGY_NAMES) * 2
+        for row in shared.rows:
+            ref = single[(row.algorithm, row.init, row.seed)]
+            assert row.errors == ref.errors
+            assert row.iterations == ref.iterations
+            assert row.w0_storage_bytes == ref.w0_storage_bytes
+
+    @pytest.mark.parametrize("seeds", [[], [0, -1]])
+    def test_empty_or_negative_seeds_rejected(self, seeds):
+        A, _, _ = planted_instance(25, 20, 3, seed=7, noise=0.05)
+        with pytest.raises(InvalidConfig):
+            compare_inits(A, 3, seeds=seeds)
+
 
 class TestMultiRestart:
+    def test_zero_restarts_rejected(self):
+        A, _, _ = planted_instance(20, 15, 3, seed=8)
+        with pytest.raises(InvalidConfig):
+            multi_restart(A, SolverConfig(k=3), 0)
+
     def test_single_restart_equals_plain_solve(self):
         A, _, _ = planted_instance(20, 15, 3, seed=8)
         config = SolverConfig(k=3, lambda_w=0.01, lambda_h=0.01, max_iter=10, seed=4,

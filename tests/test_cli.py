@@ -1,9 +1,12 @@
 import json
+import shlex
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nmfkit import cli
+from nmfkit import bench, cli
 from nmfkit.cli import main
 from nmfkit.corpus import mini_corpus
 from nmfkit.errors import NmfError, NumericalError
@@ -157,11 +160,16 @@ def test_out_of_range_solver_option_is_usage_error(option, matrix_path, capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+def _no_svd_baseline(*args, **kwargs):
+    raise AssertionError("the SVD baseline ran before every option was checked")
+
+
 @pytest.mark.parametrize("option", [
     ["--lambda-h", "-0.5"], ["--inits", "bogus"], ["--checkpoints", "0,x"],
-    ["--checkpoints", "-5"], ["--k", "0"],
+    ["--checkpoints", "-5"], ["--k", "0"], ["--seeds", "0"], ["--seeds", "-3"],
 ])
-def test_benchmark_negative_lambda_is_usage_error(option, matrix_path, tmp_path, capsys):
+def test_benchmark_negative_lambda_is_usage_error(option, matrix_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "svd_baseline_error", _no_svd_baseline)
     assert main([
         "compare-inits", "--matrix", str(matrix_path), "--k", "2", "--inits", "acol",
         "--seeds", "1", "--checkpoints", "0", "--init-p", "3",
@@ -169,6 +177,57 @@ def test_benchmark_negative_lambda_is_usage_error(option, matrix_path, tmp_path,
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_benchmark_unknown_algorithm_fails_before_any_work(matrix_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "svd_baseline_error", _no_svd_baseline)
+    assert main([
+        "benchmark", "--matrix", str(matrix_path), "--k", "2", "--algorithms", "acls,bogus",
+        "--inits", "acol", "--seeds", "1", "--init-p", "3", "--out", str(tmp_path / "r.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1 and "bogus" in err
+
+
+def test_benchmark_builds_baseline_and_each_w0_once(matrix_path, tmp_path, monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, wrapper)
+
+    counted("svd_baseline_error")
+    counted("initialize")
+    report = tmp_path / "bench.csv"
+    assert main([
+        "benchmark", "--matrix", str(matrix_path), "--k", "4", "--inits", "acol,random",
+        "--seeds", "2", "--checkpoints", "0,4", "--init-p", "3", "--out", str(report),
+    ]) == 0
+    assert calls == {"svd_baseline_error": 1, "initialize": 4}
+    rows = bench.BenchReport.read_csv(report).rows
+    assert len(rows) == 16
+    for init in ("acol", "random"):
+        for seed in (0, 1):
+            w0 = {(r.w0_build_s, r.w0_storage_bytes) for r in rows if (r.init, r.seed) == (init, seed)}
+            assert len(w0) == 1
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in usage.replace("\\\n", " ").splitlines() if line.startswith("nmfkit ")]
+
+
+@pytest.mark.parametrize("command", _readme_commands(), ids=lambda c: c.split()[1])
+def test_readme_cli_examples_parse(command):
+    args = cli.build_parser().parse_args(shlex.split(command)[1:])
+    assert args.func.__name__.startswith("cmd_")
 
 
 def test_fetch_datasets_missing_archive_is_data_error(tmp_path, capsys):

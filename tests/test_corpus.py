@@ -16,7 +16,7 @@ from nmfkit.corpus import (
     tokenize,
     top_terms,
 )
-from nmfkit.errors import EmptyCorpus, EmptyDocumentWarning
+from nmfkit.errors import EmptyCorpus, EmptyDocumentWarning, InvalidConfig
 
 
 class TestTokenize:
@@ -118,7 +118,7 @@ class TestBuildMatrix:
         assert A.todense().min() >= -1e-12
 
     def test_unknown_weighting(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             build_matrix_from_texts(["one word here", "word here too"], weighting="boolean")
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from nmfkit.corpus import Vocabulary
 from nmfkit.datasets import fetch, parse_reuters_top10, parse_smart_docs
+from nmfkit.errors import InvalidConfig
 from nmfkit.mmio import read_sparse
 
 SMART_SAMPLE = """.I 1
@@ -64,7 +65,7 @@ class TestReutersParser:
 
 class TestFetch:
     def test_unknown_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             fetch("nonexistent", tmp_path)
 
     def test_cache_hit_skips_download(self, tmp_path):
